@@ -50,7 +50,6 @@ from .evolution import (
     apply_T,
     contraction_bound,
     picard_point,
-    rk4_oracle,
     local_evolve,
     evolve,
     flow_point,

@@ -12,11 +12,15 @@ with one spline resampling per product.  The same code drives the periodic
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from pathlib import Path
 
 import numpy as np
 
 from .lp_space import TimeGrid
-from .vector_field import _SplineField, spectral_norms
+from .vector_field import (
+    _SplineField, load_field, load_manifest, save_field, save_manifest, spectral_norms,
+    vf_compose_displacement,
+)
 
 __all__ = [
     "GroupElement",
@@ -58,12 +62,7 @@ def identity_like(proto: _SplineField) -> GroupElement:
 
 def star(phi: GroupElement, psi: GroupElement) -> GroupElement:
     """Group product in displacement coordinates: psi + phi o (id + psi)."""
-    phi.disp._check_geometry(psi.disp)
-    nodes = phi.disp.nodes()
-    psi_vals = psi.disp.eval(nodes)
-    vals = psi_vals + phi.disp.eval(nodes + psi_vals)
-    shape = phi.disp.shape + (phi.disp.ncomp,)
-    return GroupElement(phi.disp.with_values(vals.reshape(shape)))
+    return GroupElement(psi.disp + vf_compose_displacement(phi.disp, psi.disp))
 
 
 def inverse(phi: GroupElement, tol: float = 1e-10, max_iter: int = 500) -> GroupElement:
@@ -90,10 +89,7 @@ def inverse(phi: GroupElement, tol: float = 1e-10, max_iter: int = 500) -> Group
 
 def d_rho(psi: GroupElement, vf: _SplineField) -> _SplineField:
     """Derivative of right translation by psi: vf -> vf o (id + psi)."""
-    vf._check_geometry(psi.disp)
-    nodes = vf.nodes()
-    vals = vf.eval(nodes + psi.disp.eval(nodes))
-    return vf.with_values(vals.reshape(vf.shape + (vf.ncomp,)))
+    return vf_compose_displacement(vf, psi.disp)
 
 
 @dataclass
@@ -219,39 +215,17 @@ class GroupPath:
 
 def save_group_path(path: GroupPath, directory, name: str = "path"):
     """Write the start and density fields plus a JSON manifest."""
-    import json
-    from pathlib import Path as _Path
-
-    from .vector_field import save_field
-
-    directory = _Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     start_file = f"{name}_start.cfld"
-    save_field(path.start, directory / start_file)
-    files = []
-    for i, f in enumerate(path.density):
-        fname = f"{name}_cell{i:04d}.cfld"
-        save_field(f, directory / fname)
-        files.append(fname)
-    manifest = directory / f"{name}.json"
-    manifest.write_text(json.dumps({
-        "knots": path.grid.knots.tolist(),
-        "start_file": start_file,
-        "field_files": files,
-    }, indent=2))
+    manifest = save_manifest(
+        path.density, directory, name, knots=path.grid.knots.tolist(), start_file=start_file
+    )
+    save_field(path.start, manifest.parent / start_file)
     return manifest
 
 
 def load_group_path(manifest_path) -> GroupPath:
-    import json
-    from pathlib import Path as _Path
-
-    from .vector_field import load_field
-
-    manifest_path = _Path(manifest_path)
-    obj = json.loads(manifest_path.read_text())
-    density = [load_field(manifest_path.parent / f) for f in obj["field_files"]]
-    start = load_field(manifest_path.parent / obj["start_file"])
+    obj, density = load_manifest(manifest_path)
+    start = load_field(Path(manifest_path).parent / obj["start_file"])
     return GroupPath(TimeGrid(np.asarray(obj["knots"])), density, start)
 
 
@@ -263,6 +237,9 @@ def _batched_cr_seminorms(pairs, div: int) -> np.ndarray:
     evaluated only once.
     """
     proto = pairs[0][0]
+    for da, db in pairs:
+        proto._check_geometry(da)
+        proto._check_geometry(db)
     d = proto.dimension
     pts = proto._lattice(div)
     out = np.empty(len(pairs))
@@ -289,25 +266,12 @@ def group_path_distance(pa: GroupPath, pb: GroupPath, p: float = 1.0, div: int =
     pairs = [
         (pa.density[pa.grid.cell_of(t)], pb.density[pb.grid.cell_of(t)]) for t in mids
     ]
-    proto = pairs[0][0]
-    same_geometry = all(
-        type(f) is type(proto) and f.shape == proto.shape and f.h == proto.h
-        and np.array_equal(f.lo, proto.lo)
-        and getattr(f, "margin", None) == getattr(proto, "margin", None)
-        for pair in pairs
-        for f in pair
-    )
-    if same_geometry:
-        # dedupe: coarse cells repeat across the common refinement
-        keys = {}
-        for da, db in pairs:
-            keys.setdefault((id(da), id(db)), (da, db))
-        distinct = list(keys.values())
-        norms = _batched_cr_seminorms(distinct, div)
-        lookup = {k: norms[i] for i, k in enumerate(keys)}
-        per_cell = np.array([lookup[(id(da), id(db))] for da, db in pairs])
-    else:
-        per_cell = np.array([(da - db).cr_seminorm(div) for da, db in pairs])
+    # dedupe: coarse cells repeat across the common refinement
+    keys = {}
+    for da, db in pairs:
+        keys.setdefault((id(da), id(db)), (da, db))
+    norms = dict(zip(keys, _batched_cr_seminorms(list(keys.values()), div)))
+    per_cell = np.array([norms[(id(da), id(db))] for da, db in pairs])
     if np.isinf(p):
         dens_d = float(np.max(per_cell))
     else:

@@ -13,7 +13,6 @@ solved locally and glued by right translation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +21,7 @@ import numpy as np
 from .ac_path import AcPath, ContinuousTrace
 from .diff_group import GroupPath, d_rho, group_path_distance, identity_like, star
 from .lp_space import GridError, LpSample, TimeGrid
-from .vector_field import _SplineField, load_field, resampling_estimate, save_field
+from .vector_field import _SplineField, load_manifest, resampling_estimate, save_manifest
 from ._parallel import ordered_thread_map
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "contraction_bounds",
     "picard_point",
     "picard_points",
-    "rk4_oracle",
     "rk4_points",
     "local_evolve",
     "evolve",
@@ -82,13 +80,18 @@ class TimeVelocity:
     def field_at(self, t: float) -> _SplineField:
         return self.fields[self.grid.cell_of(t)]
 
+    def eval_cells(self, cells: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """Velocities at pts (R, ..., d): row r by the field of cell cells[r]."""
+        out = np.empty_like(pts)
+        for ci in np.unique(cells):
+            rows = np.flatnonzero(cells == ci)
+            vals = self.fields[ci].eval(pts[rows].reshape(-1, self.dimension))
+            out[rows] = vals.reshape((rows.size,) + pts.shape[1:])
+        return out
+
     def subdivide(self, n: int, k: int) -> "TimeVelocity":
         """The rescaled restriction gamma_{n,k}(t) = gamma((k+t)/n)/n."""
-        if not 0 <= k < n:
-            raise ValueError(f"k={k} out of range for n={n}")
-        lo, hi = k / n, (k + 1) / n
-        inner = self.grid.knots[(self.grid.knots > lo) & (self.grid.knots < hi)]
-        grid = TimeGrid(np.union1d(inner * n - k, [0.0, 1.0]))
+        grid = self.grid.subdivided(n, k)
         scaled_cache: dict[int, _SplineField] = {}
         fields = []
         for m in grid.midpoints():
@@ -121,28 +124,13 @@ class TimeVelocity:
 
     # -- manifest ----------------------------------------------------------
     def save(self, directory: str | Path, name: str = "velocity") -> Path:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        files = []
-        for i, f in enumerate(self.fields):
-            fname = f"{name}_cell{i:04d}.cfld"
-            save_field(f, directory / fname)
-            files.append(fname)
-        manifest = {
-            "p": None if np.isinf(self.p) else self.p,
-            "knots": self.grid.knots.tolist(),
-            "field_files": files,
-        }
-        path = directory / f"{name}.json"
-        path.write_text(json.dumps(manifest, indent=2))
-        return path
+        p = None if np.isinf(self.p) else self.p
+        return save_manifest(self.fields, directory, name, p=p, knots=self.grid.knots.tolist())
 
     @staticmethod
     def load(manifest_path: str | Path) -> "TimeVelocity":
-        manifest_path = Path(manifest_path)
-        obj = json.loads(manifest_path.read_text())
+        obj, fields = load_manifest(manifest_path)
         p = np.inf if obj.get("p") is None else float(obj["p"])
-        fields = [load_field(manifest_path.parent / f) for f in obj["field_files"]]
         return TimeVelocity(TimeGrid(np.asarray(obj["knots"])), fields, p)
 
 
@@ -172,11 +160,8 @@ def apply_along(gamma: TimeVelocity, zeta: ContinuousTrace) -> LpSample:
     the common refinement of the two grids."""
     grid = gamma.grid.refine(zeta.grid)
     mids = grid.midpoints()
-    pts = zeta.eval_many(mids)
-    vals = np.empty((grid.ncells, gamma.dimension))
-    for i, m in enumerate(mids):
-        vals[i] = gamma.field_at(m).eval(pts[i][None])[0]
-    return LpSample(grid, vals, gamma.p)
+    cells = np.array([gamma.grid.cell_of(m) for m in mids])
+    return LpSample(grid, gamma.eval_cells(cells, zeta.eval_many(mids)), gamma.p)
 
 
 def apply_T(gamma: TimeVelocity, x, zeta: ContinuousTrace) -> ContinuousTrace:
@@ -191,6 +176,14 @@ def apply_T(gamma: TimeVelocity, x, zeta: ContinuousTrace) -> ContinuousTrace:
 def contraction_bound(gamma: TimeVelocity) -> float:
     """The L^1 budget: sum of cell width times alpha of the cell field."""
     return float(np.sum(gamma.grid.widths() * gamma.alpha_values()))
+
+
+def _check_budget(L: float, bound: float, remedy: str) -> None:
+    """Raise unless L < bound, which a NaN budget also fails."""
+    if not np.isfinite(L):
+        raise ValueError(f"contraction bound {L} is not finite: the velocity field holds non-finite values")
+    if not (L < bound):
+        raise ValueError(f"contraction bound {L:.4g} >= {bound}; {remedy}")
 
 
 def contraction_bounds(gamma: TimeVelocity) -> dict:
@@ -217,14 +210,10 @@ def _picard_sweep(gamma, grid, cellmap, anchors, offsets, tol, max_iter):
     T = grid.ncells
     S, d = anchors.shape
     zeta = np.broadcast_to(anchors, (T + 1, S, d)).copy()
-    g = np.zeros((T, S, d))
     change = np.inf
     for it in range(1, max_iter + 1):
         mids = 0.5 * (zeta[:-1] + zeta[1:])
-        for ci in np.unique(cellmap):
-            rows = np.where(cellmap == ci)[0]
-            pts = (mids[rows] + offsets[None]).reshape(-1, d)
-            g[rows] = gamma.fields[ci].eval(pts).reshape(len(rows), S, d)
+        g = gamma.eval_cells(cellmap, mids + offsets)
         new = np.empty_like(zeta)
         new[0] = anchors
         new[1:] = anchors[None] + np.cumsum(w[:, None, None] * g, axis=0)
@@ -250,8 +239,7 @@ def picard_points(
     Returns (grid, knot values (T+1, S, d), densities (T, S, d), diag).
     """
     L = contraction_bound(gamma)
-    if L >= 1.0:
-        raise ValueError(f"contraction bound {L:.4g} >= 1; subdivide first")
+    _check_budget(L, 1.0, "subdivide first")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     grid, cellmap = gamma.refined(max_dt)
     offsets = np.zeros(xs.shape[1])
@@ -304,14 +292,6 @@ def rk4_points(gamma: TimeVelocity, xs: np.ndarray, steps: int) -> np.ndarray:
     return traj
 
 
-def rk4_oracle(gamma: TimeVelocity, x, steps: int) -> AcPath:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    traj = rk4_points(gamma, x[None], steps)[:, 0, :]
-    grid = TimeGrid(np.linspace(0.0, 1.0, steps + 1))
-    density = np.diff(traj, axis=0) * steps
-    return AcPath(x, LpSample(grid, density, gamma.p))
-
-
 # -- field-valued solver ---------------------------------------------------
 
 def local_evolve(
@@ -324,8 +304,7 @@ def local_evolve(
     """Evolution inside the contraction ball: one Picard solve for every
     node of the displacement grid simultaneously."""
     L = contraction_bound(gamma)
-    if L >= L_max:
-        raise ValueError(f"contraction bound {L:.4g} >= L_max={L_max}; use evolve()")
+    _check_budget(L, L_max, "use evolve()")
     proto = gamma.proto
     nodes = proto.nodes()
     grid, cellmap = gamma.refined(max_dt)
@@ -347,18 +326,20 @@ def _window_budget_max(gamma: TimeVelocity, n: int) -> float:
     """max_k integral over [k/n,(k+1)/n] of alpha(gamma(s)) ds, exact."""
     knots = gamma.grid.knots
     alphas = gamma.alpha_values()
-    best = 0.0
+    budgets = []
     for k in range(n):
         lo_c = np.clip(knots[:-1], k / n, (k + 1) / n)
         hi_c = np.clip(knots[1:], k / n, (k + 1) / n)
-        best = max(best, float(np.sum((hi_c - lo_c) * alphas)))
-    return best
+        budgets.append(np.sum((hi_c - lo_c) * alphas))
+    return float(np.max(budgets))  # NaN propagates, unlike max()
 
 
 def choose_subdivision(gamma: TimeVelocity, L_max: float = DEFAULT_L_MAX) -> int:
     """Smallest doubling count n with every segment budget below L_max."""
     n = 1
-    while _window_budget_max(gamma, n) >= L_max:
+    while not ((budget := _window_budget_max(gamma, n)) < L_max):
+        if not np.isfinite(budget):
+            raise ValueError(f"window budget {budget} is not finite: the velocity field holds non-finite values")
         n *= 2
         if n > SUBDIVISION_LIMIT:
             raise RuntimeError("subdivision refinement limit exceeded")
@@ -428,12 +409,8 @@ def residual(gamma: TimeVelocity, path: GroupPath) -> float:
         partial = t - path.grid.knots[ci]
         knot_vals[i] = path_knot_vals[:, ci, :] + partial * dens_vals[:, ci, :]
     eta_mid = 0.5 * (knot_vals[:-1] + knot_vals[1:])
-    integrand = np.empty_like(eta_mid)
     cell_idx = np.array([gamma.grid.cell_of(m) for m in mids])
-    for ci in np.unique(cell_idx):
-        rows = np.where(cell_idx == ci)[0]
-        pts = (nodes[None] + eta_mid[rows]).reshape(-1, d)
-        integrand[rows] = gamma.fields[ci].eval(pts).reshape(len(rows), P, d)
+    integrand = gamma.eval_cells(cell_idx, nodes[None] + eta_mid)
     cum = np.cumsum(w[:, None, None] * integrand, axis=0)
     worst = float(np.max(np.abs(knot_vals[0])))
     return max(worst, float(np.max(np.abs(knot_vals[1:] - cum))))

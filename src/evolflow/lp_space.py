@@ -96,6 +96,19 @@ class TimeGrid:
             raise GridError("extra knots outside interval")
         return TimeGrid(np.union1d(self.knots, extra))
 
+    def subdivided(self, n: int, k: int) -> "TimeGrid":
+        """Knots of window k of n of [0,1], mapped affinely back to [0,1]:
+        the preimages of this grid's knots inside [k/n, (k+1)/n]."""
+        if self.a != 0.0 or self.b != 1.0:
+            raise GridError("subdivision requires the domain [0,1]")
+        if n < 1:
+            raise ValueError("n must be positive")
+        if not 0 <= k < n:
+            raise ValueError(f"k={k} out of range for n={n}")
+        lo, hi = k / n, (k + 1) / n
+        inner = self.knots[(self.knots > lo) & (self.knots < hi)]
+        return TimeGrid(np.union1d(inner * n - k, [0.0, 1.0]))
+
     @staticmethod
     def uniform(a: float, b: float, ncells: int) -> "TimeGrid":
         return TimeGrid(np.linspace(a, b, ncells + 1))
@@ -290,19 +303,9 @@ def weak_integral(f: LpSample, t0: float, t1: float) -> np.ndarray:
 def subdivide(f: LpSample, n: int, k: int) -> LpSample:
     """The rescaled restriction t -> f((k+t)/n)/n on [0,1].
 
-    Exact for step functions: the new knots are the preimages of f's knots
-    inside [k/n, (k+1)/n], mapped affinely back to [0,1].
+    Exact for step functions: see `TimeGrid.subdivided` for the knots.
     """
-    if f.grid.a != 0.0 or f.grid.b != 1.0:
-        raise GridError("subdivision requires the domain [0,1]")
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not 0 <= k < n:
-        raise ValueError(f"k={k} out of range for n={n}")
-    lo, hi = k / n, (k + 1) / n
-    inner = f.grid.knots[(f.grid.knots > lo) & (f.grid.knots < hi)]
-    knots = np.union1d(inner * n - k, [0.0, 1.0])
-    grid = TimeGrid(knots)
+    grid = f.grid.subdivided(n, k)
     if f.mode == "constant":
         vals = f.eval_many((grid.midpoints() + k) / n) / n
     else:

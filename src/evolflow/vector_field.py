@@ -27,6 +27,8 @@ __all__ = [
     "spectral_norms",
     "save_field",
     "load_field",
+    "save_manifest",
+    "load_manifest",
 ]
 
 #: multiplicative headroom applied to the lattice-sampled Jacobian sup, so
@@ -114,72 +116,85 @@ class _SplineField:
         return self.coeffs.shape[:-1]
 
     # -- subclass hooks ----------------------------------------------------
-    def _locate(self, points: np.ndarray):
-        """Return (base indices into the padded array, fractions, mask)."""
-        raise NotImplementedError
+    #: boundary rule of the coefficients: "constant" (zero) or "wrap"
+    _MODE: str
 
-    def _padded(self) -> np.ndarray:
+    def _grid_coords(self, points: np.ndarray, n) -> np.ndarray:
+        """Continuous grid coordinates of points, within [0, n] per axis for
+        n nodes; coordinate u reads coefficients floor(u) - 1 .. floor(u) + 2.
+        """
         raise NotImplementedError
 
     def with_coeffs(self, coeffs: np.ndarray) -> "_SplineField":
         raise NotImplementedError
 
-    def with_values(self, values: np.ndarray) -> "_SplineField":
-        raise NotImplementedError
-
     # -- evaluation --------------------------------------------------------
-    def _flat_coeffs(self):
-        """Padded coefficients flattened over space, strides, patch offsets."""
-        if getattr(self, "_cflat", None) is None:
-            cpad = self._padded()
+    def _table(self):
+        """Padded coefficients flattened over space, strides, patch offsets,
+        and the node count per axis."""
+        if getattr(self, "_tab", None) is None:
+            d = self.dimension
+            # u = n still reads inside: the periodic wrap can round onto it
+            cpad = np.pad(self.coeffs, [(1, 3)] * d + [(0, 0)], mode=self._MODE)
             spatial = cpad.shape[:-1]
-            strides = np.ones(len(spatial), dtype=np.int64)
-            for ax in range(len(spatial) - 2, -1, -1):
+            strides = np.ones(d, dtype=np.int64)
+            for ax in range(d - 2, -1, -1):
                 strides[ax] = strides[ax + 1] * spatial[ax + 1]
             offs = np.zeros(1, dtype=np.int64)
-            for ax in range(len(spatial)):
+            for ax in range(d):
                 offs = (offs[:, None] + np.arange(4) * strides[ax]).ravel()
-            self._cflat = (cpad.reshape(-1, self.ncomp), strides, offs)
-        return self._cflat
+            # numpy clips against a scalar bound several times faster than
+            # against a per-axis array, and most grids are cubic
+            n = self.shape[0] if len(set(self.shape)) == 1 else np.array(self.shape)
+            self._tab = (cpad.reshape(-1, self.ncomp), strides, offs, n)
+        return self._tab
 
-    def _patch(self, base: np.ndarray) -> np.ndarray:
-        """Gather the 4^d coefficient neighborhood of each point, flattened."""
-        cflat, strides, offs = self._flat_coeffs()
-        flat = (base @ strides)[:, None] + offs
-        return np.take(cflat, flat, axis=0)
+    def _gather(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Fractional grid coordinates (P, d) and the 4^d coefficient patch
+        (P, 4^d, ncomp) around each point."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        cflat, strides, offs, n = self._table()
+        u = self._grid_coords(points, n)
+        ufl = np.floor(u)
+        frac = u - ufl
+        base = ufl.astype(np.int64)
+        # clipping after the cast keeps NaN points inside the table
+        np.clip(base, 0, n, out=base)
+        return frac, np.take(cflat, (base @ strides)[:, None] + offs, axis=0)
 
     @staticmethod
-    def _wflat(ws) -> np.ndarray:
+    def _contract(ws, patch: np.ndarray) -> np.ndarray:
+        """Patch summed against the tensor product of per-axis weights."""
         out = ws[0]
         for w in ws[1:]:
             out = (out[:, :, None] * w[:, None, :]).reshape(out.shape[0], -1)
-        return out
+        return np.einsum("pk,pkc->pc", out, patch)
 
     def eval(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        base, frac, mask = self._locate(points)
-        patch = self._patch(base)
+        frac, patch = self._gather(points)
         W = _weights(frac)  # (P, d, 4)
-        out = np.einsum("pk,pkc->pc", self._wflat([W[:, ax] for ax in range(self.dimension)]), patch)
-        if mask is not None:
-            out *= mask[:, None]
-        return out
+        return self._contract([W[:, ax] for ax in range(self.dimension)], patch)
 
     def jacobian(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        base, frac, mask = self._locate(points)
-        patch = self._patch(base)
+        frac, patch = self._gather(points)
         d = self.dimension
         W = _weights(frac)
         dW = _dweights(frac) / self.h
-        cols = []
-        for der in range(d):
-            w = self._wflat([dW[:, ax] if ax == der else W[:, ax] for ax in range(d)])
-            cols.append(np.einsum("pk,pkc->pc", w, patch))
-        out = np.stack(cols, axis=2)
-        if mask is not None:
-            out *= mask[:, None, None]
-        return out
+        cols = [
+            self._contract([dW[:, ax] if ax == der else W[:, ax] for ax in range(d)], patch)
+            for der in range(d)
+        ]
+        return np.stack(cols, axis=2)
+
+    def with_values(self, values: np.ndarray) -> "_SplineField":
+        """Interpolate node values on this geometry."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != self.shape + (self.ncomp,):
+            raise ValueError("node values have the wrong shape")
+        coeffs = np.empty_like(values)
+        for c in range(self.ncomp):
+            coeffs[..., c] = ndimage.spline_filter(values[..., c], order=3, mode="grid-" + self._MODE)
+        return self.with_coeffs(coeffs)
 
     # -- lattices and seminorms -------------------------------------------
     def _lattice(self, div: int) -> np.ndarray:
@@ -256,6 +271,8 @@ class CompactField(_SplineField):
     outside.
     """
 
+    _MODE = "constant"
+
     def __init__(self, lo, h: float, coeffs: np.ndarray, margin: int = 2):
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         coeffs = np.asarray(coeffs, dtype=float)
@@ -271,7 +288,6 @@ class CompactField(_SplineField):
         self.margin = margin
         self._alpha = None
         self._nodes = None
-        self._pad = None
 
     @staticmethod
     def _zero_margin(coeffs: np.ndarray, margin: int) -> np.ndarray:
@@ -292,39 +308,16 @@ class CompactField(_SplineField):
     def _span(self, ax: int) -> int:
         return self.shape[ax] - 1
 
-    def _padded(self) -> np.ndarray:
-        if self._pad is None:
-            pad = [(2, 2)] * self.dimension + [(0, 0)]
-            self._pad = np.pad(self.coeffs, pad)
-        return self._pad
-
-    def _locate(self, points: np.ndarray):
-        if getattr(self, "_hi_cache", None) is None:
-            self._hi_cache = self.hi
-            self._dims_cache = np.array(self.shape) - 1
-        u = (points - self.lo) / self.h
-        ufl = np.floor(u)
-        frac = u - ufl
-        base = ufl.astype(np.int64)
-        np.clip(base, 0, self._dims_cache, out=base)
-        inside = np.all((points >= self.lo) & (points <= self._hi_cache), axis=1)
-        # outside points: clipped base + zero mask; frac is harmless in [0,1)
-        mask = None if inside.all() else inside.astype(float)
-        # shift: offset o addresses coefficient base - 1 + o in the padded array
-        return base + 1, frac, mask
+    def _grid_coords(self, points: np.ndarray, n) -> np.ndarray:
+        # a point clamped onto the box face reads only zero-margin layers,
+        # so values and derivatives outside the box are exact zeros
+        return np.clip((points - self.lo) / self.h, 0.0, n - 1)
 
     def with_coeffs(self, coeffs: np.ndarray) -> "CompactField":
         return CompactField(self.lo, self.h, coeffs, self.margin)
 
-    def with_values(self, values: np.ndarray) -> "CompactField":
-        """Interpolate node values (zero outside the box) on this geometry."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.shape + (self.ncomp,):
-            raise ValueError("node values have the wrong shape")
-        coeffs = np.empty_like(values)
-        for c in range(self.ncomp):
-            coeffs[..., c] = ndimage.spline_filter(values[..., c], order=3, mode="grid-constant")
-        return CompactField(self.lo, self.h, coeffs, self.margin)
+    # an attribute of each geometry, so that it can be wrapped per class
+    with_values = _SplineField.with_values
 
     @staticmethod
     def zero(lo, h: float, shape: tuple[int, ...], ncomp: int, margin: int = 2) -> "CompactField":
@@ -340,6 +333,8 @@ class CompactField(_SplineField):
 class PeriodicField(_SplineField):
     """C^2 field on the flat torus [0,1)^d; coefficients wrap around."""
 
+    _MODE = "wrap"
+
     def __init__(self, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=float)
         shape = coeffs.shape[:-1]
@@ -350,7 +345,6 @@ class PeriodicField(_SplineField):
         self.coeffs = coeffs
         self._alpha = None
         self._nodes = None
-        self._pad = None
 
     def _span(self, ax: int) -> int:
         # sampling lattices cover the full period [0, 1]
@@ -365,31 +359,14 @@ class PeriodicField(_SplineField):
             self._nodes = np.stack([m.ravel() for m in mesh], axis=1)
         return self._nodes
 
-    def _padded(self) -> np.ndarray:
-        if self._pad is None:
-            pad = [(2, 3)] * self.dimension + [(0, 0)]
-            self._pad = np.pad(self.coeffs, pad, mode="wrap")
-        return self._pad
-
-    def _locate(self, points: np.ndarray):
-        u = np.mod(points, 1.0) / self.h
-        ufl = np.floor(u)
-        frac = u - ufl
-        base = ufl.astype(np.int64)
-        np.clip(base, 0, self.shape[0] - 1, out=base)
-        return base + 1, frac, None
+    def _grid_coords(self, points: np.ndarray, n) -> np.ndarray:
+        # mod(x, 1) rounds to 1.0 for x just below a whole period, so u = n
+        return np.mod(points, 1.0) / self.h
 
     def with_coeffs(self, coeffs: np.ndarray) -> "PeriodicField":
         return PeriodicField(coeffs)
 
-    def with_values(self, values: np.ndarray) -> "PeriodicField":
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.shape + (self.ncomp,):
-            raise ValueError("node values have the wrong shape")
-        coeffs = np.empty_like(values)
-        for c in range(self.ncomp):
-            coeffs[..., c] = ndimage.spline_filter(values[..., c], order=3, mode="grid-wrap")
-        return PeriodicField(coeffs)
+    with_values = _SplineField.with_values
 
     @staticmethod
     def zero(d: int, n: int, ncomp: int) -> "PeriodicField":
@@ -472,6 +449,30 @@ def load_field(path: str | Path) -> _SplineField:
         (margin,) = struct.unpack("<I", fh.read(4))
         n = int(np.prod(shape)) * ncomp
         coeffs = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape + (ncomp,)).copy()
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(f"{path} holds non-finite coefficients")
     if kind == 1:
         return PeriodicField(coeffs)
     return CompactField(lo, h, coeffs, margin)
+
+
+def save_manifest(fields, directory: str | Path, name: str, **keys) -> Path:
+    """Write fields as ``<name>_cellNNNN.cfld`` plus a ``<name>.json``
+    manifest holding ``keys`` and the file list under "field_files"."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    files = []
+    for i, f in enumerate(fields):
+        fname = f"{name}_cell{i:04d}.cfld"
+        save_field(f, directory / fname)
+        files.append(fname)
+    path = directory / f"{name}.json"
+    path.write_text(json.dumps({**keys, "field_files": files}, indent=2))
+    return path
+
+
+def load_manifest(path: str | Path) -> tuple[dict, list]:
+    """The manifest's keys and its fields, in file-list order."""
+    path = Path(path)
+    obj = json.loads(path.read_text())
+    return obj, [load_field(path.parent / f) for f in obj["field_files"]]

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from evolflow import evolution
 from evolflow.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 from evolflow.diff_group import load_group_path
 
@@ -85,6 +86,20 @@ def test_solver_failure_writes_diagnostics(tmp_path):
     assert code == EXIT_SOLVER
     failure = json.loads((out / "failure.json").read_text())
     assert "error" in failure and "traceback" in failure
+
+
+def test_non_finite_velocity_fails_before_any_sweep(tmp_path, monkeypatch):
+    sweeps = []
+    sweep = evolution._picard_sweep
+    monkeypatch.setattr(evolution, "_picard_sweep", lambda *a: sweeps.append(1) or sweep(*a))
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {
+        # NaN is valid JSON to json.loads; it makes every coefficient and alpha NaN
+        "velocity": {"kind": "random_smooth", "seed": 3, "grid": 16, "cells": 2, "target_bound": float("nan")},
+    })
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_SOLVER
+    assert "not finite" in json.loads((out / "failure.json").read_text())["error"]
+    assert sweeps == []
 
 
 def test_torus_evolve(tmp_path):

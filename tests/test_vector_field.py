@@ -3,6 +3,7 @@ the Lipschitz seminorm, composition, and the binary file format."""
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from evolflow.instances import plateau_weight, random_plateau_field
 from evolflow.vector_field import (
@@ -77,6 +78,37 @@ def test_jacobian_vs_finite_differences(random_field, rng):
         dp[ax] = h_fd
         fd = (vf_eval(f, pts + dp) - vf_eval(f, pts - dp)) / (2.0 * h_fd)
         assert np.max(np.abs(jac[:, :, ax] - fd)) < 1e-6
+
+
+def _scipy_eval(f, pts, mode):
+    u = ((pts - f.lo) / f.h).T
+    return np.stack([
+        ndimage.map_coordinates(f.coeffs[..., c], u, order=3, prefilter=False, mode=mode)
+        for c in range(f.ncomp)
+    ], axis=1)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_eval_matches_scipy_spline(periodic, rng):
+    # scipy's cubic B-spline evaluator on the same coefficients is an
+    # independent implementation of the same tensor stencil
+    if periodic:
+        f, mode = PeriodicField(rng.normal(size=(10, 10, 2))), "grid-wrap"
+        lo, hi = f.lo, f.lo + 1.0
+    else:
+        f = CompactField(np.array([0.2, -0.1]), 0.1, rng.normal(size=(11, 9, 2)))
+        mode = "grid-constant"
+        lo, hi = f.lo, f.hi
+    inside = rng.uniform(lo, hi, size=(40, 2))
+    faces = inside[:8].copy()
+    faces[:2, 0], faces[2:4, 0], faces[4:6, 1], faces[6:, 1] = lo[0], hi[0], lo[1], hi[1]
+    outside = inside[8:16].copy()
+    outside[:4, 0] += (hi - lo)[0] * rng.uniform(0.01, 1.5, size=4)
+    outside[4:, 1] -= (hi - lo)[1] * rng.uniform(0.01, 1.5, size=4)
+    shifted = inside[16:24] + rng.integers(-3, 4, size=(8, 2))
+    corners = np.array([lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)])
+    pts = np.concatenate([inside, faces, corners, outside, shifted])
+    assert np.max(np.abs(f.eval(pts) - _scipy_eval(f, pts, mode))) <= 1e-14
 
 
 # -- alpha -------------------------------------------------------------------
@@ -218,6 +250,14 @@ def test_field_file_roundtrip(tmp_path, random_field, rng):
     pg = load_field(tmp_path / "periodic.cfld")
     assert isinstance(pg, PeriodicField)
     assert np.array_equal(pg.coeffs, pf.coeffs)
+
+
+def test_load_field_rejects_non_finite_coefficients(tmp_path, rng):
+    coeffs = rng.normal(size=(8, 8, 2))
+    coeffs[3, 4, 1] = np.nan
+    save_field(PeriodicField(coeffs), tmp_path / "bad.cfld")
+    with pytest.raises(ValueError, match="bad.cfld"):
+        load_field(tmp_path / "bad.cfld")
 
 
 def test_resampling_estimate_scales():
