@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -79,10 +80,25 @@ def _velocities(cfg: dict, seed_override: int | None):
     return vel if isinstance(vel, list) else [vel]
 
 
+def _is_real(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+
+
+# solver keys: what each must be, and the check of it
+_SOLVER_KEYS = {
+    "L_max": ("a number in (0, 1]", lambda v: _is_real(v) and 0 < v <= 1),
+    "tol": ("a finite number > 0", lambda v: _is_real(v) and v > 0),
+    "max_dt": ("a finite number > 0", lambda v: _is_real(v) and v > 0),
+    "forced_n": ("a positive integer", lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1),
+}
+
+
 def _solver_kwargs(cfg: dict) -> dict:
     kw = {}
-    for key in ("L_max", "tol", "max_dt", "forced_n"):
+    for key, (what, ok) in _SOLVER_KEYS.items():
         if key in cfg:
+            if not ok(cfg[key]):
+                raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
             kw[key] = cfg[key]
     return kw
 
@@ -148,8 +164,8 @@ def _render_ppm(result, out: Path, name: str, size: int = 400, lines: int = 12) 
 
 
 def cmd_evolve(cfg: dict, out: Path, threads: int, seed: int | None, render: bool, torus: bool) -> int:
-    gammas = _velocities(cfg, seed)
     kw = _solver_kwargs(cfg)
+    gammas = _velocities(cfg, seed)
     oracle_cfg = cfg.get("oracle")
     evolver = evolve
     if torus:
@@ -193,6 +209,7 @@ def cmd_evolve(cfg: dict, out: Path, threads: int, seed: int | None, render: boo
 
 
 def cmd_continuity(cfg: dict, out: Path, threads: int, seed: int | None) -> int:
+    kw = _solver_kwargs(cfg)
     gammas = _velocities(cfg, seed)
     if len(gammas) != 1:
         raise ConfigError("continuity-study takes a single velocity")
@@ -201,7 +218,7 @@ def cmd_continuity(cfg: dict, out: Path, threads: int, seed: int | None) -> int:
         raise ConfigError("continuity-study needs a 'perturbation' entry")
     delta = instances.resolve_velocity(dict(pert_spec))
     levels = int(cfg.get("levels", 6))
-    pairs = evolution.continuity_probe(gammas[0], delta, levels, threads=threads, **_solver_kwargs(cfg))
+    pairs = evolution.continuity_probe(gammas[0], delta, levels, threads=threads, **kw)
     rows = [[k, scale, dist] for k, (scale, dist) in enumerate(pairs)]
     _write_csv(out / "continuity.csv", ["level", "scale", "distance"], rows)
     dists = [d for _, d in pairs]

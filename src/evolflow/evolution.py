@@ -13,7 +13,7 @@ solved locally and glued by right translation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,9 @@ import numpy as np
 from .ac_path import AcPath, ContinuousTrace
 from .diff_group import GroupPath, d_rho, group_path_distance, identity_like, star
 from .lp_space import GridError, LpSample, TimeGrid
-from .vector_field import _SplineField, load_manifest, resampling_estimate, save_manifest
+from .vector_field import (
+    _SplineField, load_manifest, resampling_estimate, save_manifest, stack_fields, unstack_field,
+)
 from ._parallel import ordered_thread_map
 
 __all__ = [
@@ -45,6 +47,8 @@ __all__ = [
 DEFAULT_L_MAX = 0.5
 DEFAULT_MAX_DT = 1.0 / 256.0
 SUBDIVISION_LIMIT = 1 << 16
+#: consecutive sweeps whose change does not fall before Picard gives up
+STAGNATION_SWEEPS = 2
 
 
 @dataclass
@@ -89,17 +93,17 @@ class TimeVelocity:
             out[rows] = vals.reshape((rows.size,) + pts.shape[1:])
         return out
 
+    def window(self, n: int, k: int) -> tuple[TimeGrid, list[int]]:
+        """Knots of window k of n mapped onto [0,1], and the cell of this
+        curve that each of their cells reads."""
+        grid = self.grid.subdivided(n, k)
+        return grid, [self.grid.cell_of((m + k) / n) for m in grid.midpoints()]
+
     def subdivide(self, n: int, k: int) -> "TimeVelocity":
         """The rescaled restriction gamma_{n,k}(t) = gamma((k+t)/n)/n."""
-        grid = self.grid.subdivided(n, k)
-        scaled_cache: dict[int, _SplineField] = {}
-        fields = []
-        for m in grid.midpoints():
-            ci = self.grid.cell_of((m + k) / n)
-            if ci not in scaled_cache:
-                scaled_cache[ci] = self.fields[ci].scaled(1.0 / n)
-            fields.append(scaled_cache[ci])
-        return TimeVelocity(grid, fields, self.p)
+        grid, cells = self.window(n, k)
+        scaled = {ci: self.fields[ci].scaled(1.0 / n) for ci in dict.fromkeys(cells)}
+        return TimeVelocity(grid, [scaled[ci] for ci in cells], self.p)
 
     def refined(self, max_dt: float) -> tuple[TimeGrid, np.ndarray]:
         """Uniformly split cells to width <= max_dt; returns grid + cell map."""
@@ -145,12 +149,23 @@ class PicardDiagnostics:
 
 @dataclass
 class EvolutionResult:
-    """Solved group path plus per-segment solver diagnostics."""
+    """Solved group path plus per-segment solver diagnostics.
+
+    ``residual`` is the integral-equation defect of the path against the
+    velocity ``gamma``; it is computed on first read and then kept.
+    """
 
     path: GroupPath
     n: int
     segments: list
-    residual: float
+    gamma: TimeVelocity = field(repr=False)
+    _residual: float | None = field(default=None, init=False, repr=False)
+
+    @property
+    def residual(self) -> float:
+        if self._residual is None:
+            self._residual = residual(self.gamma, self.path)
+        return self._residual
 
 
 # -- operator building blocks ----------------------------------------------
@@ -211,16 +226,24 @@ def _picard_sweep(gamma, grid, cellmap, anchors, offsets, tol, max_iter):
     S, d = anchors.shape
     zeta = np.broadcast_to(anchors, (T + 1, S, d)).copy()
     change = np.inf
+    stalled = 0
     for it in range(1, max_iter + 1):
         mids = 0.5 * (zeta[:-1] + zeta[1:])
         g = gamma.eval_cells(cellmap, mids + offsets)
         new = np.empty_like(zeta)
         new[0] = anchors
         new[1:] = anchors[None] + np.cumsum(w[:, None, None] * g, axis=0)
-        change = float(np.max(np.abs(new - zeta)))
+        prev, change = change, float(np.max(np.abs(new - zeta)))
         zeta = new
         if change < tol:
             return zeta, g, it, change
+        # a contraction shrinks the change every sweep until round-off stops it
+        stalled = 0 if change < prev else stalled + 1
+        if stalled == STAGNATION_SWEEPS:
+            raise RuntimeError(
+                f"Picard iteration stagnated at sweep {it}: the change has not fallen for "
+                f"{stalled} sweeps (last change {change:.3g}, tol={tol})"
+            )
     raise RuntimeError(
         f"Picard iteration did not reach tol={tol} in {max_iter} sweeps "
         f"(last change {change:.3g})"
@@ -312,14 +335,14 @@ def local_evolve(
     if all(not np.any(f.coeffs) for f in gamma.fields):
         path = GroupPath.neutral(proto, grid)
         diag = PicardDiagnostics(0, 0.0, 0.0, 0.0)
-        return EvolutionResult(path, 1, [diag], 0.0)
+        return EvolutionResult(path, 1, [diag], gamma)
     psi, g, iters, change = _picard_sweep(gamma, grid, cellmap, anchors, nodes, tol, max_iter)
     shape = proto.shape + (proto.ncomp,)
     density = [proto.with_values(g[c].reshape(shape)) for c in range(grid.ncells)]
     path = GroupPath(grid, density)
     res_est = max(resampling_estimate(g[c].reshape(shape), proto.h) for c in range(grid.ncells))
     diag = PicardDiagnostics(iters, change, L, tol / (1.0 - L), res_est)
-    return EvolutionResult(path, 1, [diag], residual(gamma, path))
+    return EvolutionResult(path, 1, [diag], gamma)
 
 
 def _window_budget_max(gamma: TimeVelocity, n: int) -> float:
@@ -336,6 +359,8 @@ def _window_budget_max(gamma: TimeVelocity, n: int) -> float:
 
 def choose_subdivision(gamma: TimeVelocity, L_max: float = DEFAULT_L_MAX) -> int:
     """Smallest doubling count n with every segment budget below L_max."""
+    if not (0.0 < L_max <= 1.0):
+        raise ValueError(f"L_max must lie in (0, 1], got {L_max}")
     n = 1
     while not ((budget := _window_budget_max(gamma, n)) < L_max):
         if not np.isfinite(budget):
@@ -355,27 +380,37 @@ def evolve(
     max_dt: float = DEFAULT_MAX_DT,
 ) -> EvolutionResult:
     """Global evolution: subdivide, solve each segment locally, glue by
-    right translation."""
+    right translation.
+
+    Windows with the same mapped knots and the same source cells pose the
+    same problem bit for bit, so each distinct window is solved once.  The
+    density cells of a window are right-translated together, as one field
+    with their components side by side.
+    """
     n = forced_n if forced_n is not None else choose_subdivision(gamma, L_max)
     if n == 1:
-        res = local_evolve(gamma, L_max, tol, max_iter, max_dt)
-        return res
-    proto = gamma.proto
-    A = identity_like(proto)
+        return local_evolve(gamma, L_max, tol, max_iter, max_dt)
+    A = identity_like(gamma.proto)
     knots = [0.0]
     density: list[_SplineField] = []
     segments = []
+    solved: dict[tuple, EvolutionResult] = {}
     for k in range(n):
-        seg = local_evolve(gamma.subdivide(n, k), L_max, tol, max_iter, max_dt * n)
+        grid, cells = gamma.window(n, k)
+        key = (grid.knots.tobytes(), tuple(cells))
+        if key not in solved:
+            solved[key] = local_evolve(gamma.subdivide(n, k), L_max, tol, max_iter, max_dt * n)
+        seg = solved[key]
         segments.append(seg.segments[0])
         seg_knots = (seg.path.grid.knots + k) / n
         knots.extend(seg_knots[1:].tolist())
-        for D in seg.path.density:
-            composed = D if k == 0 else d_rho(A, D)
-            density.append(composed.scaled(float(n)))
+        cells_k = seg.path.density
+        if k > 0:
+            cells_k = unstack_field(d_rho(A, stack_fields(cells_k)), gamma.dimension)
+        density.extend(D.scaled(float(n)) for D in cells_k)
         A = star(seg.path.end(), A)
     path = GroupPath(TimeGrid(np.asarray(knots)), density)
-    return EvolutionResult(path, n, segments, residual(gamma, path))
+    return EvolutionResult(path, n, segments, gamma)
 
 
 def flow_point(result: EvolutionResult, t: float, x) -> np.ndarray:
@@ -392,12 +427,10 @@ def residual(gamma: TimeVelocity, path: GroupPath) -> float:
     grid = gamma.grid.refine(path.grid)
     mids = grid.midpoints()
     w = grid.widths()
-    proto = path.density[0]
-    nodes = proto.nodes()
+    nodes = path.density[0].nodes()
     P, d = nodes.shape
     # node values of every density cell in one sweep, via a stacked field
-    stacked = proto.with_coeffs(np.concatenate([f.coeffs for f in path.density], axis=-1))
-    dens_vals = stacked.eval(nodes).reshape(P, path.grid.ncells, d)
+    dens_vals = stack_fields(path.density).eval(nodes).reshape(P, path.grid.ncells, d)
     start_vals = path.start.eval(nodes)
     steps = dens_vals * path.grid.widths()[None, :, None]
     path_knot_vals = np.concatenate(

@@ -23,6 +23,8 @@ __all__ = [
     "vf_jacobian",
     "vf_alpha",
     "vf_compose_displacement",
+    "stack_fields",
+    "unstack_field",
     "resampling_estimate",
     "spectral_norms",
     "save_field",
@@ -187,13 +189,20 @@ class _SplineField:
         return np.stack(cols, axis=2)
 
     def with_values(self, values: np.ndarray) -> "_SplineField":
-        """Interpolate node values on this geometry."""
+        """Interpolate node values on this geometry.
+
+        One 1-d filter pass per spatial axis covers every component, with
+        the same per-line arithmetic as ``ndimage.spline_filter`` on each
+        component alone.
+        """
         values = np.asarray(values, dtype=float)
         if values.shape != self.shape + (self.ncomp,):
             raise ValueError("node values have the wrong shape")
         coeffs = np.empty_like(values)
-        for c in range(self.ncomp):
-            coeffs[..., c] = ndimage.spline_filter(values[..., c], order=3, mode="grid-" + self._MODE)
+        src = values
+        for ax in range(self.dimension):
+            ndimage.spline_filter1d(src, order=3, axis=ax, output=coeffs, mode="grid-" + self._MODE)
+            src = coeffs
         return self.with_coeffs(coeffs)
 
     # -- lattices and seminorms -------------------------------------------
@@ -407,6 +416,18 @@ def vf_compose_displacement(field: _SplineField, disp: _SplineField) -> _SplineF
     nodes = field.nodes()
     vals = field.eval(nodes + disp.eval(nodes))
     return field.with_values(vals.reshape(field.shape + (field.ncomp,)))
+
+
+def stack_fields(fields) -> _SplineField:
+    """Fields of one geometry as one field, their components side by side,
+    so that one eval or one resampling serves them all."""
+    return fields[0].with_coeffs(np.concatenate([f.coeffs for f in fields], axis=-1))
+
+
+def unstack_field(stacked: _SplineField, ncomp: int) -> list:
+    """The fields of ``ncomp`` components each that ``stack_fields`` joined."""
+    parts = np.split(stacked.coeffs, stacked.ncomp // ncomp, axis=-1)
+    return [stacked.with_coeffs(c) for c in parts]
 
 
 # -- file format -----------------------------------------------------------

@@ -75,7 +75,11 @@ def test_evolve_check_failure_exit_code(tmp_path):
     assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_CHECK
 
 
-def test_solver_failure_writes_diagnostics(tmp_path):
+def test_solver_failure_writes_diagnostics(tmp_path, monkeypatch):
+    # one eval_cells call per Picard sweep
+    sweeps = []
+    eval_cells = evolution.TimeVelocity.eval_cells
+    monkeypatch.setattr(evolution.TimeVelocity, "eval_cells", lambda *a: sweeps.append(1) or eval_cells(*a))
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, {
         "velocity": {"kind": "random_smooth", "seed": 3, "grid": 24, "cells": 2, "target_bound": 0.3},
@@ -86,6 +90,25 @@ def test_solver_failure_writes_diagnostics(tmp_path):
     assert code == EXIT_SOLVER
     failure = json.loads((out / "failure.json").read_text())
     assert "error" in failure and "traceback" in failure
+    # the change stops falling at round-off, far above tol: fail fast
+    assert "stagnated" in failure["error"] and "tol=1e-30" in failure["error"]
+    assert 0 < len(sweeps) < 20
+
+
+@pytest.mark.parametrize("key,value", [
+    ("L_max", float("nan")), ("L_max", 0), ("L_max", 1.5), ("L_max", "0.5"),
+    ("tol", float("nan")), ("tol", 0), ("tol", -1e-9), ("tol", float("inf")),
+    ("max_dt", 0), ("max_dt", float("nan")),
+    ("forced_n", 0), ("forced_n", 1.5), ("forced_n", True),
+])
+def test_bad_solver_parameter_is_a_config_error(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {
+        "velocity": {"kind": "random_smooth", "seed": 3, "grid": 16, "cells": 2, "target_bound": 0.3},
+        key: value,
+    })
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
 
 
 def test_non_finite_velocity_fails_before_any_sweep(tmp_path, monkeypatch):

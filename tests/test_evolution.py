@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from evolflow.ac_path import ContinuousTrace
-from evolflow.diff_group import group_path_distance, star
+from evolflow import evolution
+from evolflow.diff_group import d_rho, group_path_distance, identity_like, star
 from evolflow.evolution import (
     TimeVelocity,
     apply_T,
@@ -23,6 +24,7 @@ from evolflow.evolution import (
     rk4_points,
 )
 from evolflow.instances import (
+    random_smooth_torus_velocity,
     random_smooth_velocity,
     random_trace,
     rotation_plateau_velocity,
@@ -203,6 +205,59 @@ def test_residual_of_solution_is_small(gamma):
     assert residual(gamma, bad_scaled) > 10.0 * res.residual
 
 
+def _evolve_per_cell(gamma, n, max_dt=1.0 / 256):
+    """Density coefficients of evolve(gamma, forced_n=n) the plain way: a
+    fresh solve of every window and one right translation per cell."""
+    A = identity_like(gamma.proto)
+    coeffs = []
+    for k in range(n):
+        seg = local_evolve(gamma.subdivide(n, k), max_dt=max_dt * n)
+        for D in seg.path.density:
+            coeffs.append((D if k == 0 else d_rho(A, D)).scaled(float(n)).coeffs)
+        A = star(seg.path.end(), A)
+    return coeffs
+
+
+@pytest.mark.parametrize("case", ["compact_repeated_windows", "torus"])
+def test_evolve_density_matches_per_cell_gluing(case):
+    if case == "torus":
+        gamma, n = random_smooth_torus_velocity(11, grid=12, cells=4, target_bound=0.6), 4
+    else:
+        # n = 8 windows over 2 cells: windows repeat four times each
+        gamma, n = random_smooth_velocity(5, grid=16, cells=2, target_bound=0.6), 8
+    res = evolve(gamma, forced_n=n)
+    ref = _evolve_per_cell(gamma, n)
+    assert len(res.path.density) == len(ref)
+    assert all(np.array_equal(D.coeffs, c) for D, c in zip(res.path.density, ref))
+
+
+def test_evolve_solves_each_distinct_window_once(monkeypatch):
+    gamma = random_smooth_velocity(5, grid=16, cells=2, target_bound=0.6)
+    solves = []
+    solve = evolution.local_evolve
+    monkeypatch.setattr(evolution, "local_evolve", lambda *a: solves.append(1) or solve(*a))
+    res = evolve(gamma, forced_n=8)
+    assert len(solves) == 2 and len(res.segments) == 8
+
+
+def test_residual_is_computed_on_first_read(gamma, monkeypatch):
+    calls = []
+    plain = evolution.residual
+    monkeypatch.setattr(evolution, "residual", lambda *a: calls.append(1) or plain(*a))
+    res = evolve(gamma, forced_n=2)
+    assert calls == []
+    assert res.residual == plain(gamma, res.path)
+    assert res.residual == res.residual and len(calls) == 1
+
+
+def test_continuity_probe_computes_no_residual(gamma, monkeypatch):
+    calls = []
+    monkeypatch.setattr(evolution, "residual", lambda *a: calls.append(1))
+    delta = TimeVelocity(gamma.grid, [f.scaled(0.01) for f in gamma.fields], gamma.p)
+    continuity_probe(gamma, delta, levels=2, forced_n=2)
+    assert calls == []
+
+
 def test_continuity_probe_zero_perturbation(gamma):
     delta = zero_velocity(dim=2, grid=32, cells=4)
     # geometry must match gamma's fields for the sum to make sense
@@ -227,6 +282,12 @@ def test_subdivision_budget_exact_for_constant_alpha(gamma):
 def test_choose_subdivision_thresholds(gamma):
     assert choose_subdivision(gamma, L_max=0.5) == 1
     assert choose_subdivision(gamma, L_max=0.2) >= 2
+
+
+@pytest.mark.parametrize("L_max", [float("nan"), 0.0, -0.5, 1.5, float("inf")])
+def test_choose_subdivision_rejects_bad_L_max(gamma, L_max):
+    with pytest.raises(ValueError, match="L_max"):
+        choose_subdivision(gamma, L_max=L_max)
 
 
 def test_subdivide_speeds_up_exactly(gamma):

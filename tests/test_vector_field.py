@@ -216,6 +216,21 @@ def test_with_values_interpolates_interior_nodes(random_field):
     assert np.max(np.abs(inner - ginner)) < 1e-11
 
 
+@pytest.mark.parametrize("ncomp", [2, 128])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_with_values_matches_per_component_filter(periodic, ncomp, rng):
+    # reference: scipy's n-d prefilter on each component alone
+    if periodic:
+        f = PeriodicField.zero(2, 12, ncomp)
+    else:
+        f = CompactField.zero(np.array([0.2, -0.1]), 0.1, (11, 9), ncomp)
+    vals = rng.normal(size=f.shape + (ncomp,))
+    ref = np.empty_like(vals)
+    for c in range(ncomp):
+        ref[..., c] = ndimage.spline_filter(vals[..., c], order=3, mode="grid-" + f._MODE)
+    assert np.array_equal(f.with_values(vals).coeffs, f.with_coeffs(ref).coeffs)
+
+
 # -- periodic fields ---------------------------------------------------------
 
 def test_periodic_wraps(rng):
