@@ -194,7 +194,7 @@ def ac_reparam(path: AcPath, c: float, d: float) -> AcPath:
     scale = (b - a) / (d - c)
     knots = c + (path.density.grid.knots - a) / scale
     knots[0], knots[-1] = c, d
-    density = LpSample(TimeGrid(knots), path.density.values * scale, path.p, path.density.mode)
+    density = LpSample(TimeGrid(knots), path.density.values * scale, path.p)
     return AcPath(path.start, density)
 
 
@@ -220,7 +220,7 @@ def ac_superpose(f: SmoothMap, path: AcPath, subdivisions: int = 1) -> AcPath:
     jac = f.jac(pts)
     dens = np.einsum("nij,nj->ni", jac, path.density.eval_many(mids))
     start = f.fn(path.start[None])[0]
-    return AcPath(start, LpSample(grid, dens, path.p, "constant"))
+    return AcPath(start, LpSample(grid, dens, path.p))
 
 
 def ac_distance(p1: AcPath, p2: AcPath, q: Seminorm) -> float:

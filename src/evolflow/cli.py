@@ -60,23 +60,26 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    for key, val in cfg.items():
-        if key.endswith("tolerance") or key.endswith("threshold"):
-            if not (isinstance(val, (int, float)) and val > 0):
-                raise ConfigError(f"{key} must be a positive number")
+    # the declared checks; json.loads reads Infinity and NaN, which would disarm them
+    checks = dict(cfg)
+    if isinstance(cfg.get("oracle"), dict) and "tolerance" in cfg["oracle"]:
+        checks["oracle.tolerance"] = cfg["oracle"]["tolerance"]
+    for key, val in checks.items():
+        if key.endswith(("tolerance", "threshold")) and not _is_positive(val):
+            raise ConfigError(f"{key} must be a finite number > 0, got {val!r}")
     return cfg
 
 
-def _velocities(cfg: dict, seed_override: int | None):
-    if "velocity" not in cfg:
-        raise ConfigError("config needs a 'velocity' entry")
-    spec = dict(cfg["velocity"])
-    if seed_override is not None:
-        spec["seed"] = seed_override
+def _velocities(cfg: dict, seed_override: int | None, key: str = "velocity"):
+    if key not in cfg:
+        raise ConfigError(f"config needs a {key!r} entry")
     try:
+        spec = dict(cfg[key])
+        if seed_override is not None:
+            spec["seed"] = seed_override
         vel = instances.resolve_velocity(spec)
     except (TypeError, KeyError, ValueError) as exc:
-        raise ConfigError(f"bad velocity spec: {exc}") from exc
+        raise ConfigError(f"bad {key} spec: {exc}") from exc
     return vel if isinstance(vel, list) else [vel]
 
 
@@ -84,18 +87,31 @@ def _is_real(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
 
 
-# solver keys: what each must be, and the check of it
+def _is_positive(val) -> bool:
+    return _is_real(val) and val > 0
+
+
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+# config keys: what each must be, and the check of it
 _SOLVER_KEYS = {
     "L_max": ("a number in (0, 1]", lambda v: _is_real(v) and 0 < v <= 1),
-    "tol": ("a finite number > 0", lambda v: _is_real(v) and v > 0),
-    "max_dt": ("a finite number > 0", lambda v: _is_real(v) and v > 0),
-    "forced_n": ("a positive integer", lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1),
+    "tol": ("a finite number > 0", _is_positive),
+    "max_dt": ("a finite number > 0", _is_positive),
+    "forced_n": ("a positive integer", lambda v: _is_int(v) and v >= 1),
+}
+_CONTINUITY_KEYS = {
+    "levels": ("an integer >= 2", lambda v: _is_int(v) and v >= 2),
+    "monotone_factor": ("a finite number > 0", _is_positive),
 }
 
 
-def _solver_kwargs(cfg: dict) -> dict:
+def _checked_keys(cfg: dict, keys: dict) -> dict:
+    """The entries of cfg named in keys, each checked; ConfigError names a bad one."""
     kw = {}
-    for key, (what, ok) in _SOLVER_KEYS.items():
+    for key, (what, ok) in keys.items():
         if key in cfg:
             if not ok(cfg[key]):
                 raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
@@ -164,7 +180,7 @@ def _render_ppm(result, out: Path, name: str, size: int = 400, lines: int = 12) 
 
 
 def cmd_evolve(cfg: dict, out: Path, threads: int, seed: int | None, render: bool, torus: bool) -> int:
-    kw = _solver_kwargs(cfg)
+    kw = _checked_keys(cfg, _SOLVER_KEYS)
     gammas = _velocities(cfg, seed)
     oracle_cfg = cfg.get("oracle")
     evolver = evolve
@@ -209,20 +225,18 @@ def cmd_evolve(cfg: dict, out: Path, threads: int, seed: int | None, render: boo
 
 
 def cmd_continuity(cfg: dict, out: Path, threads: int, seed: int | None) -> int:
-    kw = _solver_kwargs(cfg)
+    kw = _checked_keys(cfg, _SOLVER_KEYS)
+    study = _checked_keys(cfg, _CONTINUITY_KEYS)
     gammas = _velocities(cfg, seed)
-    if len(gammas) != 1:
-        raise ConfigError("continuity-study takes a single velocity")
-    pert_spec = cfg.get("perturbation")
-    if pert_spec is None:
-        raise ConfigError("continuity-study needs a 'perturbation' entry")
-    delta = instances.resolve_velocity(dict(pert_spec))
-    levels = int(cfg.get("levels", 6))
-    pairs = evolution.continuity_probe(gammas[0], delta, levels, threads=threads, **kw)
+    deltas = _velocities(cfg, None, "perturbation")
+    if len(gammas) != 1 or len(deltas) != 1:
+        raise ConfigError("continuity-study takes a single velocity and a single perturbation")
+    levels = study.get("levels", 6)
+    pairs = evolution.continuity_probe(gammas[0], deltas[0], levels, threads=threads, **kw)
     rows = [[k, scale, dist] for k, (scale, dist) in enumerate(pairs)]
     _write_csv(out / "continuity.csv", ["level", "scale", "distance"], rows)
     dists = [d for _, d in pairs]
-    factor = float(cfg.get("monotone_factor", 1.1))
+    factor = float(study.get("monotone_factor", 1.1))
     ok = all(dists[k + 1] <= factor * dists[k] for k in range(len(dists) - 1))
     threshold = cfg.get("final_threshold")
     if threshold is not None and dists[-1] >= threshold:

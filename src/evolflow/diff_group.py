@@ -263,15 +263,11 @@ def group_path_distance(pa: GroupPath, pb: GroupPath, p: float = 1.0, div: int =
     mids = grid.midpoints()
     w = grid.widths()
     start_d = (pa.start - pb.start).cr_seminorm(div)
-    pairs = [
-        (pa.density[pa.grid.cell_of(t)], pb.density[pb.grid.cell_of(t)]) for t in mids
-    ]
+    cells = list(zip(pa.grid.cell_of(mids).tolist(), pb.grid.cell_of(mids).tolist()))
     # dedupe: coarse cells repeat across the common refinement
-    keys = {}
-    for da, db in pairs:
-        keys.setdefault((id(da), id(db)), (da, db))
-    norms = dict(zip(keys, _batched_cr_seminorms(list(keys.values()), div)))
-    per_cell = np.array([norms[(id(da), id(db))] for da, db in pairs])
+    keys = list(dict.fromkeys(cells))
+    norms = dict(zip(keys, _batched_cr_seminorms([(pa.density[a], pb.density[b]) for a, b in keys], div)))
+    per_cell = np.array([norms[c] for c in cells])
     if np.isinf(p):
         dens_d = float(np.max(per_cell))
     else:

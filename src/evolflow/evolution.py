@@ -97,7 +97,7 @@ class TimeVelocity:
         """Knots of window k of n mapped onto [0,1], and the cell of this
         curve that each of their cells reads."""
         grid = self.grid.subdivided(n, k)
-        return grid, [self.grid.cell_of((m + k) / n) for m in grid.midpoints()]
+        return grid, self.grid.cell_of((grid.midpoints() + k) / n).tolist()
 
     def subdivide(self, n: int, k: int) -> "TimeVelocity":
         """The rescaled restriction gamma_{n,k}(t) = gamma((k+t)/n)/n."""
@@ -168,24 +168,43 @@ class EvolutionResult:
         return self._residual
 
 
-# -- operator building blocks ----------------------------------------------
+# -- the integral operator -------------------------------------------------
+
+def _T(gamma: TimeVelocity, cells, w, anchors, offsets, zeta):
+    """Knot values of T(gamma, anchors, zeta) on a grid of cell widths w.
+
+    ``zeta`` (K, S, d) holds knot values; cell i reads the field of gamma's
+    cell ``cells[i]`` at the midpoint of zeta plus ``offsets``.  Returns the
+    new knot values and those midpoint velocities (K-1, S, d).
+    """
+    g = gamma.eval_cells(cells, 0.5 * (zeta[:-1] + zeta[1:]) + offsets)
+    new = np.empty_like(zeta)
+    new[0] = anchors
+    np.cumsum(w[:, None, None] * g, axis=0, out=new[1:])
+    new[1:] += anchors
+    return new, g
+
+
+def _apply_T_trace(gamma: TimeVelocity, x: np.ndarray, zeta: ContinuousTrace):
+    """T(gamma, x, zeta) on the common refinement of the two grids:
+    (grid, knot values, midpoint velocities)."""
+    grid = gamma.grid.refine(zeta.grid)
+    cells = gamma.grid.cell_of(grid.midpoints())
+    vals, g = _T(gamma, cells, grid.widths(), x, 0.0, zeta.eval_many(grid.knots)[:, None])
+    return grid, vals[:, 0], g[:, 0]
+
 
 def apply_along(gamma: TimeVelocity, zeta: ContinuousTrace) -> LpSample:
     """The step sample t -> gamma(t)(zeta(t)), midpoint-sampled per cell of
     the common refinement of the two grids."""
-    grid = gamma.grid.refine(zeta.grid)
-    mids = grid.midpoints()
-    cells = np.array([gamma.grid.cell_of(m) for m in mids])
-    return LpSample(grid, gamma.eval_cells(cells, zeta.eval_many(mids)), gamma.p)
+    grid, _, g = _apply_T_trace(gamma, np.zeros(zeta.dim), zeta)
+    return LpSample(grid, g, gamma.p)
 
 
 def apply_T(gamma: TimeVelocity, x, zeta: ContinuousTrace) -> ContinuousTrace:
     """One application of the integral operator T(gamma, x, .)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    sample = apply_along(gamma, zeta)
-    incr = sample.grid.widths()[:, None] * sample.values
-    vals = np.concatenate([x[None], x[None] + np.cumsum(incr, axis=0)])
-    return ContinuousTrace(sample.grid, vals)
+    grid, vals, _ = _apply_T_trace(gamma, np.atleast_1d(np.asarray(x, dtype=float)), zeta)
+    return ContinuousTrace(grid, vals)
 
 
 def contraction_bound(gamma: TimeVelocity) -> float:
@@ -215,24 +234,18 @@ def contraction_bounds(gamma: TimeVelocity) -> dict:
 # -- point solver ----------------------------------------------------------
 
 def _picard_sweep(gamma, grid, cellmap, anchors, offsets, tol, max_iter):
-    """Shared fixed-point loop.
+    """Shared fixed-point loop: iterates `_T` from the constant path.
 
     ``anchors`` (S, d) are the integration starting values; ``offsets``
-    (S, d) are added before field evaluation (zero for point trajectories,
-    the grid nodes for field-valued sweeps working in displacements).
+    are added before field evaluation (0.0 for point trajectories, the grid
+    nodes (S, d) for field-valued sweeps working in displacements).
     """
     w = grid.widths()
-    T = grid.ncells
-    S, d = anchors.shape
-    zeta = np.broadcast_to(anchors, (T + 1, S, d)).copy()
+    zeta = np.broadcast_to(anchors, (grid.knots.size,) + anchors.shape).copy()
     change = np.inf
     stalled = 0
     for it in range(1, max_iter + 1):
-        mids = 0.5 * (zeta[:-1] + zeta[1:])
-        g = gamma.eval_cells(cellmap, mids + offsets)
-        new = np.empty_like(zeta)
-        new[0] = anchors
-        new[1:] = anchors[None] + np.cumsum(w[:, None, None] * g, axis=0)
+        new, g = _T(gamma, cellmap, w, anchors, offsets, zeta)
         prev, change = change, float(np.max(np.abs(new - zeta)))
         zeta = new
         if change < tol:
@@ -265,8 +278,7 @@ def picard_points(
     _check_budget(L, 1.0, "subdivide first")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     grid, cellmap = gamma.refined(max_dt)
-    offsets = np.zeros(xs.shape[1])
-    zeta, g, iters, change = _picard_sweep(gamma, grid, cellmap, xs, offsets, tol, max_iter)
+    zeta, g, iters, change = _picard_sweep(gamma, grid, cellmap, xs, 0.0, tol, max_iter)
     bound = tol / (1.0 - L)
     diag = PicardDiagnostics(iters, change, L, bound)
     return grid, zeta, g, diag
@@ -298,9 +310,7 @@ def rk4_points(gamma: TimeVelocity, xs: np.ndarray, steps: int) -> np.ndarray:
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     dt = 1.0 / steps
     mids = (np.arange(steps) + 0.5) * dt
-    cells = np.clip(
-        np.searchsorted(gamma.grid.knots, mids, side="right") - 1, 0, gamma.grid.ncells - 1
-    )
+    cells = gamma.grid.cell_of(mids)
     traj = np.empty((steps + 1,) + xs.shape)
     y = xs.copy()
     traj[0] = y
@@ -423,10 +433,9 @@ def flow_point(result: EvolutionResult, t: float, x) -> np.ndarray:
 
 
 def residual(gamma: TimeVelocity, path: GroupPath) -> float:
-    """Sup over knots and grid nodes of the integral-equation defect."""
+    """Sup over knots and grid nodes of the integral-equation defect
+    |eta - T(gamma, 0, eta)|, in displacements."""
     grid = gamma.grid.refine(path.grid)
-    mids = grid.midpoints()
-    w = grid.widths()
     nodes = path.density[0].nodes()
     P, d = nodes.shape
     # node values of every density cell in one sweep, via a stacked field
@@ -436,17 +445,13 @@ def residual(gamma: TimeVelocity, path: GroupPath) -> float:
     path_knot_vals = np.concatenate(
         [start_vals[:, None, :], start_vals[:, None, :] + np.cumsum(steps, axis=1)], axis=1
     )  # (P, path knots, d)
+    path_cells = path.grid.cell_of(grid.knots)
+    partials = grid.knots - path.grid.knots[path_cells]
     knot_vals = np.empty((grid.knots.size, P, d))
-    for i, t in enumerate(grid.knots):
-        ci = path.grid.cell_of(t)
-        partial = t - path.grid.knots[ci]
+    for i, (ci, partial) in enumerate(zip(path_cells, partials)):
         knot_vals[i] = path_knot_vals[:, ci, :] + partial * dens_vals[:, ci, :]
-    eta_mid = 0.5 * (knot_vals[:-1] + knot_vals[1:])
-    cell_idx = np.array([gamma.grid.cell_of(m) for m in mids])
-    integrand = gamma.eval_cells(cell_idx, nodes[None] + eta_mid)
-    cum = np.cumsum(w[:, None, None] * integrand, axis=0)
-    worst = float(np.max(np.abs(knot_vals[0])))
-    return max(worst, float(np.max(np.abs(knot_vals[1:] - cum))))
+    cells = gamma.grid.cell_of(grid.midpoints())
+    return float(np.max(np.abs(knot_vals - _T(gamma, cells, grid.widths(), 0.0, nodes, knot_vals)[0])))
 
 
 def continuity_probe(

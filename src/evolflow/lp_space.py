@@ -1,11 +1,10 @@
 """Finite representations of L^p([a,b], R^m) elements.
 
-Elements are carried as step functions (value per cell) or piecewise-linear
-functions (value per knot) on arbitrary strictly increasing time grids.  Step
-functions admit exact quadrature, exact subdivision and exact common
-refinements, which keeps the downstream property checks free of quadrature
-error.  The piecewise-linear mode exists mainly to serve as an independent
-oracle representation.
+Elements are carried as step functions (value per cell) on arbitrary
+strictly increasing time grids.  Step functions admit exact quadrature, exact
+subdivision and exact common refinements, which keeps the downstream property
+checks free of quadrature error.  Piecewise-linear curves are
+`ac_path.ContinuousTrace`.
 """
 
 from __future__ import annotations
@@ -41,10 +40,6 @@ class DimensionMismatchError(ValueError):
     """Value dimensions of two objects do not agree."""
 
 
-# 16-point Gauss-Legendre rule, used only for the piecewise-linear mode.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Strictly increasing knots a = s_0 < ... < s_M = b."""
@@ -77,12 +72,15 @@ class TimeGrid:
     def midpoints(self) -> np.ndarray:
         return 0.5 * (self.knots[:-1] + self.knots[1:])
 
-    def cell_of(self, t: float) -> int:
-        """Index of the cell containing t (right-closed at b)."""
-        if t < self.a or t > self.b:
-            raise GridError(f"time {t} outside [{self.a}, {self.b}]")
-        i = int(np.searchsorted(self.knots, t, side="right")) - 1
-        return min(max(i, 0), self.ncells - 1)
+    def cell_of(self, t):
+        """Index of the cell containing t (right-closed at b): an int for a
+        scalar time, an index array for an array of times."""
+        times = np.asarray(t, dtype=float)
+        outside = (times < self.knots[0]) | (times > self.knots[-1])
+        if np.any(outside):
+            raise GridError(f"time {times[outside].flat[0]} outside [{self.a}, {self.b}]")
+        i = np.clip(np.searchsorted(self.knots, times, side="right") - 1, 0, self.ncells - 1)
+        return int(i) if i.ndim == 0 else i
 
     def refine(self, other: "TimeGrid") -> "TimeGrid":
         """Common refinement (union of knots); endpoints must agree."""
@@ -153,29 +151,21 @@ def weighted(w) -> Seminorm:
 
 @dataclass(frozen=True)
 class LpSample:
-    """A representative of a class in L^p([a,b], R^m).
-
-    mode "constant": one value per cell.  mode "linear": one value per knot,
-    interpreted piecewise-linearly.
-    """
+    """A representative of a class in L^p([a,b], R^m): one value per cell."""
 
     grid: TimeGrid
     values: np.ndarray
     p: float = 1.0
-    mode: str = "constant"
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         if values.ndim == 1:
             values = values[:, None]
         if values.ndim != 2:
-            raise DimensionMismatchError("values must be (cells_or_knots, m)")
-        expected = self.grid.ncells if self.mode == "constant" else self.grid.ncells + 1
-        if self.mode not in ("constant", "linear"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if values.shape[0] != expected:
+            raise DimensionMismatchError("values must be (cells, m)")
+        if values.shape[0] != self.grid.ncells:
             raise DimensionMismatchError(
-                f"{self.mode} mode expects {expected} rows, got {values.shape[0]}"
+                f"expected one row per cell ({self.grid.ncells}), got {values.shape[0]}"
             )
         if not (self.p >= 1.0):
             raise ValueError("exponent p must be >= 1")
@@ -188,44 +178,24 @@ class LpSample:
         return self.values.shape[1]
 
     def eval(self, t: float) -> np.ndarray:
-        if self.mode == "constant":
-            return self.values[self.grid.cell_of(t)].copy()
-        out = np.empty(self.dim)
-        for j in range(self.dim):
-            out[j] = np.interp(t, self.grid.knots, self.values[:, j])
-        return out
+        return self.values[self.grid.cell_of(t)].copy()
 
     def eval_many(self, times) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        if self.mode == "constant":
-            idx = np.clip(
-                np.searchsorted(self.grid.knots, times, side="right") - 1,
-                0,
-                self.grid.ncells - 1,
-            )
-            return self.values[idx]
-        cols = [np.interp(times, self.grid.knots, self.values[:, j]) for j in range(self.dim)]
-        return np.stack(cols, axis=1)
+        return self.values[self.grid.cell_of(times)]
 
     def on_refinement(self, grid: TimeGrid) -> "LpSample":
         """Same function represented on a refining grid (exact)."""
         if not np.all(np.isin(self.grid.knots, grid.knots)):
             raise GridError("target grid does not refine the sample grid")
-        if self.mode == "constant":
-            vals = self.eval_many(grid.midpoints())
-        else:
-            vals = self.eval_many(grid.knots)
-        return LpSample(grid, vals, self.p, self.mode)
+        return LpSample(grid, self.eval_many(grid.midpoints()), self.p)
 
     def _binary(self, other: "LpSample", op) -> "LpSample":
-        if self.mode != other.mode:
-            raise ValueError("mixed-mode arithmetic is not supported")
         if self.dim != other.dim:
             raise DimensionMismatchError("value dimensions differ")
         grid = self.grid.refine(other.grid)
         a = self.on_refinement(grid)
         b = other.on_refinement(grid)
-        return LpSample(grid, op(a.values, b.values), self.p, self.mode)
+        return LpSample(grid, op(a.values, b.values), self.p)
 
     def __add__(self, other: "LpSample") -> "LpSample":
         return self._binary(other, np.add)
@@ -234,14 +204,13 @@ class LpSample:
         return self._binary(other, np.subtract)
 
     def scaled(self, s: float) -> "LpSample":
-        return LpSample(self.grid, s * self.values, self.p, self.mode)
+        return LpSample(self.grid, s * self.values, self.p)
 
     def to_json(self) -> dict:
         return {
             "a": self.grid.a,
             "b": self.grid.b,
             "p": None if np.isinf(self.p) else self.p,
-            "mode": self.mode,
             "knots": self.grid.knots.tolist(),
             "values": self.values.tolist(),
         }
@@ -249,7 +218,7 @@ class LpSample:
     @staticmethod
     def from_json(obj: dict) -> "LpSample":
         p = np.inf if obj.get("p") is None else float(obj["p"])
-        return LpSample(TimeGrid(np.asarray(obj["knots"])), np.asarray(obj["values"]), p, obj["mode"])
+        return LpSample(TimeGrid(np.asarray(obj["knots"])), np.asarray(obj["values"]), p)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json())
@@ -260,44 +229,28 @@ class LpSample:
 
 
 def lp_seminorm(f: LpSample, q: Seminorm, p: float | None = None) -> float:
-    """(integral of q(f)^p)^(1/p); exact for step functions, Gauss quadrature
-    for the piecewise-linear mode.  p = inf falls back to the essential sup."""
+    """(integral of q(f)^p)^(1/p), exact for step functions.  p = inf falls
+    back to the essential sup."""
     p = f.p if p is None else p
     if np.isinf(p):
         return ess_sup_seminorm(f, q)
-    w = f.grid.widths()
-    if f.mode == "constant":
-        qv = q(f.values)
-        return float(np.sum(w * qv**p) ** (1.0 / p))
-    total = 0.0
-    for i in range(f.grid.ncells):
-        t0, t1 = f.grid.knots[i], f.grid.knots[i + 1]
-        ts = 0.5 * (t1 - t0) * (_GL_NODES + 1.0) + t0
-        qv = q(f.eval_many(ts))
-        total += 0.5 * (t1 - t0) * float(np.sum(_GL_WEIGHTS * qv**p))
-    return total ** (1.0 / p)
+    return float(np.sum(f.grid.widths() * q(f.values) ** p) ** (1.0 / p))
 
 
 def ess_sup_seminorm(f: LpSample, q: Seminorm) -> float:
-    """Essential sup of q(f); max over cells (constant) or knots (linear)."""
+    """Essential sup of q(f): the max over cells."""
     return float(np.max(q(f.values)))
 
 
 def weak_integral(f: LpSample, t0: float, t1: float) -> np.ndarray:
-    """Exact integral of the piecewise representation over [t0, t1]."""
+    """Exact integral of the step function over [t0, t1]."""
     if t0 > t1:
         raise GridError("t0 must not exceed t1")
     if t0 < f.grid.a or t1 > f.grid.b:
         raise GridError("integration limits outside the sample interval")
-    if f.mode == "constant":
-        lo = np.clip(f.grid.knots[:-1], t0, t1)
-        hi = np.clip(f.grid.knots[1:], t0, t1)
-        return (hi - lo) @ f.values
-    # linear mode: trapezoid rule on the knots clipped to [t0, t1] is exact
-    knots = np.union1d(np.clip(f.grid.knots, t0, t1), [t0, t1])
-    vals = f.eval_many(knots)
-    w = np.diff(knots)
-    return 0.5 * (w @ (vals[:-1] + vals[1:]))
+    lo = np.clip(f.grid.knots[:-1], t0, t1)
+    hi = np.clip(f.grid.knots[1:], t0, t1)
+    return (hi - lo) @ f.values
 
 
 def subdivide(f: LpSample, n: int, k: int) -> LpSample:
@@ -306,16 +259,12 @@ def subdivide(f: LpSample, n: int, k: int) -> LpSample:
     Exact for step functions: see `TimeGrid.subdivided` for the knots.
     """
     grid = f.grid.subdivided(n, k)
-    if f.mode == "constant":
-        vals = f.eval_many((grid.midpoints() + k) / n) / n
-    else:
-        vals = f.eval_many((grid.knots + k) / n) / n
-    return LpSample(grid, vals, f.p, f.mode)
+    return LpSample(grid, f.eval_many((grid.midpoints() + k) / n) / n, f.p)
 
 
 def samples_equal(f: LpSample, g: LpSample, tol: float = 0.0) -> bool:
     """Equality as L^p classes: agreement of common-refinement cell values."""
-    if f.mode != g.mode or f.dim != g.dim:
+    if f.dim != g.dim:
         return False
     try:
         grid = f.grid.refine(g.grid)

@@ -124,6 +124,14 @@ def circle_transition_derivative(src: str, dst: str, u):
 
 # -- paths ------------------------------------------------------------------
 
+def _segment_at(segments, t: float) -> tuple[str, AcPath]:
+    """The first (chart, AcPath) of segments whose interval holds t."""
+    for chart, seg in segments:
+        if seg.a <= t <= seg.b:
+            return chart, seg
+    raise GridError(f"time {t} outside [{segments[0][1].a}, {segments[-1][1].b}]")
+
+
 @dataclass(frozen=True)
 class ManifoldAcPath:
     """Piecewise-chart representation of an AC path into a manifold.
@@ -155,10 +163,7 @@ class ManifoldAcPath:
         return np.array([self.segments[0][1].a] + [s.b for _, s in self.segments])
 
     def segment_for(self, t: float) -> tuple[str, AcPath]:
-        for chart, seg in self.segments:
-            if seg.a <= t <= seg.b:
-                return chart, seg
-        raise GridError(f"time {t} outside [{self.a}, {self.b}]")
+        return _segment_at(self.segments, t)
 
     def to_json(self) -> dict:
         return {
@@ -265,7 +270,7 @@ def _ac_restrict(path: AcPath, c: float, d: float) -> AcPath:
     inner = knots[(knots > c) & (knots < d)]
     grid = TimeGrid(np.union1d(inner, [c, d]))
     vals = path.density.eval_many(grid.midpoints())
-    return AcPath(start, LpSample(grid, vals, path.p, path.density.mode))
+    return AcPath(start, LpSample(grid, vals, path.p))
 
 
 def section_embed(sigma: SectionTuple, partition, charts) -> tuple:
@@ -280,7 +285,7 @@ def section_embed(sigma: SectionTuple, partition, charts) -> tuple:
     out = []
     for i in range(partition.size - 1):
         c, d = partition[i], partition[i + 1]
-        src_chart, sseg = _section_segment_for(sigma, 0.5 * (c + d))
+        src_chart, sseg = _segment_at(sigma.segments, 0.5 * (c + d))
         piece = _ac_restrict(sseg, c, d)
         dst_chart = charts[i]
         if dst_chart == src_chart or sigma.base.manifold.startswith("torus"):
@@ -291,13 +296,6 @@ def section_embed(sigma: SectionTuple, partition, charts) -> tuple:
         bpiece = _ac_restrict(bseg, c, d)
         out.append((dst_chart, _scale_section(piece, bpiece, src_chart, dst_chart)))
     return tuple(out)
-
-
-def _section_segment_for(sigma: SectionTuple, t: float) -> tuple[str, AcPath]:
-    for chart, seg in sigma.segments:
-        if seg.a <= t <= seg.b:
-            return chart, seg
-    raise GridError(f"time {t} outside the section domain")
 
 
 def _scale_section(piece: AcPath, base: AcPath, src: str, dst: str) -> AcPath:
@@ -313,7 +311,7 @@ def _scale_section(piece: AcPath, base: AcPath, src: str, dst: str) -> AcPath:
     density = m_mid * dtau_mid + dm_mid * tau_mid
     u0 = ac_eval(base, piece.a)
     start = circle_transition_derivative(src, dst, u0) * ac_eval(piece, piece.a)
-    return AcPath(start, LpSample(grid, density, piece.p, "constant"))
+    return AcPath(start, LpSample(grid, density, piece.p))
 
 
 def section_glue(base: ManifoldAcPath, pieces, tol: float = COMPAT_TOL) -> SectionTuple:
@@ -344,8 +342,7 @@ def torus_path_split(eta: ManifoldAcPath, d1: int) -> tuple[ManifoldAcPath, Mani
     def project(lo, hi, tag):
         segs = tuple(
             (chart, AcPath(seg.start[lo:hi],
-                           LpSample(seg.density.grid, seg.density.values[:, lo:hi],
-                                    seg.p, seg.density.mode)))
+                           LpSample(seg.density.grid, seg.density.values[:, lo:hi], seg.p)))
             for chart, seg in eta.segments
         )
         return ManifoldAcPath(tag, segs)
@@ -365,7 +362,6 @@ def torus_path_merge(e1: ManifoldAcPath, e2: ManifoldAcPath) -> ManifoldAcPath:
                 s2.density.on_refinement(s1.density.grid.refine(s2.density.grid)).values,
             ]),
             s1.p,
-            s1.density.mode,
         )
         segs.append((chart, AcPath(np.concatenate([s1.start, s2.start]), density)))
     d = segs[0][1].dim

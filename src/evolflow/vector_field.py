@@ -268,9 +268,6 @@ class _SplineField:
     def zero_like(self) -> "_SplineField":
         return self.with_coeffs(np.zeros_like(self.coeffs))
 
-    def node_values(self) -> np.ndarray:
-        return self.eval(self.nodes()).reshape(self.shape + (self.ncomp,))
-
 
 class CompactField(_SplineField):
     """C^2 field supported in the box [lo, lo + (shape-1) h] per axis.

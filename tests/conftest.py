@@ -16,9 +16,3 @@ def random_step_sample(rng, ncells=5, dim=2, p=1.0, a=0.0, b=1.0, scale=1.0):
     knots = np.unique(np.concatenate([[a], knots, [b]]))
     vals = scale * rng.normal(size=(knots.size - 1, dim))
     return LpSample(TimeGrid(knots), vals, p)
-
-
-def random_linear_sample(rng, ncells=5, dim=2, p=1.0):
-    grid = TimeGrid.uniform(0.0, 1.0, ncells)
-    vals = rng.normal(size=(ncells + 1, dim))
-    return LpSample(grid, vals, p, mode="linear")

@@ -36,9 +36,13 @@ def test_velocity_entry_required(tmp_path):
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
-def test_nonpositive_tolerance_rejected(tmp_path):
-    cfg = write_cfg(tmp_path, {"velocity": {"kind": "zero"}, "residual_tolerance": -1.0})
-    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+@pytest.mark.parametrize("tol", [-1.0, float("inf"), float("nan")])
+def test_nonpositive_tolerance_rejected(tmp_path, capsys, tol):
+    # json writes inf and nan as Infinity and NaN, which json.loads reads back
+    for key, entry in [("residual_tolerance", tol), ("oracle", {"seeds": 2, "tolerance": tol})]:
+        cfg = write_cfg(tmp_path, {"velocity": {"kind": "zero"}, key: entry})
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "tolerance must be a finite number > 0" in capsys.readouterr().err
 
 
 def test_evolve_zero_velocity(tmp_path):
@@ -109,6 +113,21 @@ def test_bad_solver_parameter_is_a_config_error(tmp_path, capsys, key, value):
     })
     assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("levels", 1), ("levels", "abc"), ("levels", True), ("levels", 2.5),
+    ("monotone_factor", 0), ("monotone_factor", float("nan")), ("monotone_factor", float("inf")),
+    ("perturbation", {"kind": "no_such_kind"}), ("perturbation", {"kind": "zero", "bogus": 1}),
+    ("perturbation", 3),
+])
+def test_bad_continuity_key_is_a_config_error(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    cfg = {"velocity": {"kind": "zero", "grid": 12}, "perturbation": {"kind": "zero", "grid": 12}, "levels": 3}
+    cfg[key] = value
+    assert main(["continuity-study", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (out / "failure.json").exists()
 
 
 def test_non_finite_velocity_fails_before_any_sweep(tmp_path, monkeypatch):

@@ -128,6 +128,17 @@ def test_rk4_fourth_order(rotation):
     assert e1 / e2 == pytest.approx(16.0, rel=0.25)
 
 
+def test_picard_trajectory_is_a_fixed_point_of_apply_T(gamma):
+    tol = 1e-12
+    xs = np.array([[0.45, 0.55], [0.62, 0.38]])
+    grid, zeta, g, diag = picard_points(gamma, xs, tol=tol)
+    for s, x in enumerate(xs):
+        traj = ContinuousTrace(grid, zeta[:, s])
+        image = apply_T(gamma, x, traj)
+        assert np.array_equal(image.grid.knots, grid.knots)
+        assert np.max(np.abs(image.values - traj.values)) < tol
+
+
 def test_picard_matches_rk4(gamma):
     xs = np.array([[0.45, 0.55], [0.62, 0.38], [0.5, 0.5]])
     grid, zeta, g, diag = picard_points(gamma, xs, tol=1e-13)

@@ -18,7 +18,7 @@ from evolflow.lp_space import (
     weak_integral,
     weighted,
 )
-from conftest import random_linear_sample, random_step_sample
+from conftest import random_step_sample
 
 EUC = euclidean()
 
@@ -48,6 +48,14 @@ def test_grid_validation():
     assert g.cell_of(0.25) == 1  # right-open cells
     with pytest.raises(GridError):
         g.cell_of(1.5)
+    # an array of times: a, b, interior knots and midpoints, as the scalar calls
+    times = np.concatenate([g.knots, g.midpoints()])
+    cells = g.cell_of(times)
+    assert cells.shape == times.shape
+    assert cells.tolist() == [g.cell_of(t) for t in times] == [0, 1, 2, 3, 3, 0, 1, 2, 3]
+    for bad in ([0.5, -0.1], [1.0 + 1e-12, 0.5]):
+        with pytest.raises(GridError):
+            g.cell_of(np.array(bad))
 
 
 def test_grid_refine_is_union():
@@ -71,16 +79,6 @@ def test_seminorm_step_exact_quadrature():
     assert lp_seminorm(f, EUC) == pytest.approx(0.5 * (1.0 + 2.0), abs=1e-15)
 
 
-def test_seminorm_linear_ramp_vs_riemann_oracle():
-    grid = TimeGrid.uniform(0.0, 1.0, 1)
-    f = LpSample(grid, np.array([[0.0, 0.0], [1.0, 0.0]]), 1.0, mode="linear")
-    got = lp_seminorm(f, EUC)
-    ts = (np.arange(1_000_000) + 0.5) / 1_000_000
-    riemann = np.mean(np.abs(ts))
-    assert got == pytest.approx(0.5, abs=1e-12)
-    assert got == pytest.approx(riemann, abs=1e-9)
-
-
 def test_seminorm_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         lp_seminorm(const_sample([1.0, 2.0]), euclidean(dim=3))
@@ -99,11 +97,7 @@ def test_ess_sup_examples():
     assert ess_sup_seminorm(const_sample([3.0, 4.0]), EUC) == pytest.approx(5.0)
     f = step_sample([1.0, 0.0], [0.0, -2.0])
     assert ess_sup_seminorm(f, EUC) == pytest.approx(2.0)
-    grid = TimeGrid.uniform(0.0, 1.0, 1)
-    ramp = LpSample(grid, np.array([[0.0, 0.0], [1.0, 0.0]]), 1.0, mode="linear")
-    # piecewise-linear max is attained at a knot
-    assert ess_sup_seminorm(ramp, EUC) == pytest.approx(1.0)
-    assert lp_seminorm(ramp, EUC, p=np.inf) == pytest.approx(1.0)
+    assert lp_seminorm(f, EUC, p=np.inf) == pytest.approx(2.0)
 
 
 # -- weak_integral -----------------------------------------------------------
@@ -119,16 +113,6 @@ def test_weak_integral_step():
     assert np.allclose(weak_integral(f, 0.0, 1.0), 0.5 * (v + w), atol=1e-15)
     # partial cells split exactly
     assert np.allclose(weak_integral(f, 0.25, 0.75), 0.25 * v + 0.25 * w, atol=1e-15)
-
-
-def test_weak_integral_linear_vs_riemann():
-    grid = TimeGrid.uniform(0.0, 1.0, 1)
-    f = LpSample(grid, np.array([[0.0, 0.0], [1.0, 0.0]]), 1.0, mode="linear")
-    got = weak_integral(f, 0.0, 1.0)
-    n = 1_000_000
-    ts = (np.arange(n) + 0.5) / n
-    assert np.allclose(got, [0.5, 0.0], atol=1e-15)
-    assert abs(got[0] - np.mean(ts)) < 1e-9
 
 
 def test_weak_integral_errors():
@@ -248,10 +232,10 @@ def test_samples_equal_as_classes():
 
 
 def test_json_roundtrip(rng):
-    for f in (random_step_sample(rng), random_linear_sample(rng)):
-        g = LpSample.loads(f.dumps())
-        assert samples_equal(f, g)
-        assert g.p == f.p and g.mode == f.mode
+    f = random_step_sample(rng)
+    g = LpSample.loads(f.dumps())
+    assert samples_equal(f, g)
+    assert g.p == f.p
     inf = LpSample(TimeGrid.uniform(0.0, 1.0, 2), np.ones((2, 1)), np.inf)
     assert np.isinf(LpSample.loads(inf.dumps()).p)
 
