@@ -102,27 +102,44 @@ _SOLVER_KEYS = {
     "max_dt": ("a finite number > 0", _is_positive),
     "forced_n": ("a positive integer", lambda v: _is_int(v) and v >= 1),
 }
+_ORACLE_KEYS = {
+    "seeds": ("a positive integer", lambda v: _is_int(v) and v >= 1),
+    "steps": ("a positive integer", lambda v: _is_int(v) and v >= 1),
+    "seed": ("a non-negative integer", lambda v: _is_int(v) and v >= 0),
+}
 _CONTINUITY_KEYS = {
     "levels": ("an integer >= 2", lambda v: _is_int(v) and v >= 2),
     "monotone_factor": ("a finite number > 0", _is_positive),
 }
 
 
-def _checked_keys(cfg: dict, keys: dict) -> dict:
-    """The entries of cfg named in keys, each checked; ConfigError names a bad one."""
+def _checked_keys(cfg: dict, keys: dict, where: str = "") -> dict:
+    """The entries of cfg named in keys, each checked; ConfigError names a
+    bad one, prefixed with ``where``."""
     kw = {}
     for key, (what, ok) in keys.items():
         if key in cfg:
             if not ok(cfg[key]):
-                raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
+                raise ConfigError(f"{where}{key} must be {what}, got {cfg[key]!r}")
             kw[key] = cfg[key]
     return kw
 
 
+def _oracle_config(cfg: dict) -> dict | None:
+    """The checked ``oracle`` entry of an evolve config, or None without one."""
+    if "oracle" not in cfg:
+        return None
+    oracle_cfg = cfg["oracle"]
+    if not isinstance(oracle_cfg, dict):
+        raise ConfigError(f"oracle must be an object, got {oracle_cfg!r}")
+    _checked_keys(oracle_cfg, _ORACLE_KEYS, "oracle.")
+    return oracle_cfg
+
+
 def _oracle_rows(case: int, gamma: TimeVelocity, result, oracle_cfg: dict, wrap: bool):
-    seeds = int(oracle_cfg.get("seeds", 50))
-    steps = int(oracle_cfg.get("steps", 4096))
-    rng = np.random.default_rng(int(oracle_cfg.get("seed", 1234)) + case)
+    seeds = oracle_cfg.get("seeds", 50)
+    steps = oracle_cfg.get("steps", 4096)
+    rng = np.random.default_rng(oracle_cfg.get("seed", 1234) + case)
     d = gamma.dimension
     if wrap:
         xs = rng.uniform(0.0, 1.0, size=(seeds, d))
@@ -181,8 +198,8 @@ def _render_ppm(result, out: Path, name: str, size: int = 400, lines: int = 12) 
 
 def cmd_evolve(cfg: dict, out: Path, threads: int, seed: int | None, render: bool, torus: bool) -> int:
     kw = _checked_keys(cfg, _SOLVER_KEYS)
+    oracle_cfg = _oracle_config(cfg)
     gammas = _velocities(cfg, seed)
-    oracle_cfg = cfg.get("oracle")
     evolver = evolve
     if torus:
         from .manifold_paths import evolve_torus as evolver  # noqa: F811

@@ -6,9 +6,14 @@ contraction ball the path is the Banach fixed point of the integral operator
 
     T(gamma, x, zeta)(t) = x + integral_0^t gamma(s)(zeta(s)) ds,
 
-iterated simultaneously for every node of the displacement grid.  Velocities
-with a large contraction budget are split into n rescaled segments, each
-solved locally and glued by right translation.
+solved for every node of the displacement grid at once.  On a refined time
+grid the discrete T is the implicit midpoint rule, a system lower triangular
+in time, so it is marched: T is iterated on one block of cells at a time,
+each block starting from the end of the one before.  One application of T
+over the whole grid then returns T(zeta) and certifies it: its distance to
+the fixed point is at most L/(1-L) * max |T(zeta) - zeta|.  Velocities with a
+large contraction budget are split into n rescaled segments, each solved
+locally and glued by right translation.
 """
 
 from __future__ import annotations
@@ -47,8 +52,10 @@ __all__ = [
 DEFAULT_L_MAX = 0.5
 DEFAULT_MAX_DT = 1.0 / 256.0
 SUBDIVISION_LIMIT = 1 << 16
-#: consecutive sweeps whose change does not fall before Picard gives up
-STAGNATION_SWEEPS = 2
+#: refined time cells per block of the Picard march
+MARCH_BLOCK = 4
+#: consecutive iterations of a block whose change does not fall before Picard gives up
+STAGNATION_ITERATIONS = 2
 
 
 @dataclass
@@ -233,34 +240,52 @@ def contraction_bounds(gamma: TimeVelocity) -> dict:
 
 # -- point solver ----------------------------------------------------------
 
-def _picard_sweep(gamma, grid, cellmap, anchors, offsets, tol, max_iter):
-    """Shared fixed-point loop: iterates `_T` from the constant path.
+def _picard_march(gamma, grid, cellmap, anchors, offsets, tol, max_iter):
+    """The discrete fixed point of `_T`, marched in time, and its certificate.
 
     ``anchors`` (S, d) are the integration starting values; ``offsets``
     are added before field evaluation (0.0 for point trajectories, the grid
-    nodes (S, d) for field-valued sweeps working in displacements).
+    nodes (S, d) for field-valued solves working in displacements).
+
+    Each block of `MARCH_BLOCK` cells starts from the end of the previous
+    one, predicted with its last midpoint velocity, and iterates `_T` on its
+    own knots until the change falls below ``tol``.  Returns T(zeta) over
+    the whole grid, its midpoint velocities, the cell evaluations in
+    whole-grid sweeps (rounded up, this last one included) and the
+    certificate change max |T(zeta) - zeta|.
     """
     w = grid.widths()
-    zeta = np.broadcast_to(anchors, (grid.knots.size,) + anchors.shape).copy()
-    change = np.inf
-    stalled = 0
-    for it in range(1, max_iter + 1):
-        new, g = _T(gamma, cellmap, w, anchors, offsets, zeta)
-        prev, change = change, float(np.max(np.abs(new - zeta)))
-        zeta = new
-        if change < tol:
-            return zeta, g, it, change
-        # a contraction shrinks the change every sweep until round-off stops it
-        stalled = 0 if change < prev else stalled + 1
-        if stalled == STAGNATION_SWEEPS:
+    ncells = w.size
+    zeta = np.empty((ncells + 1,) + anchors.shape)
+    zeta[0] = anchors
+    velocity = np.zeros_like(anchors)
+    evaluations = 0
+    for lo in range(0, ncells, MARCH_BLOCK):
+        hi = min(lo + MARCH_BLOCK, ncells)
+        block = zeta[lo:hi + 1]
+        block[1:] = block[0] + (grid.knots[lo + 1:hi + 1] - grid.knots[lo])[:, None, None] * velocity
+        change = np.inf
+        stalled = 0
+        for it in range(1, max_iter + 1):
+            new, g = _T(gamma, cellmap[lo:hi], w[lo:hi], block[0], offsets, block)
+            prev, change = change, float(np.max(np.abs(new - block)))
+            block[1:] = new[1:]
+            evaluations += hi - lo
+            # a contraction shrinks the change every iteration until round-off stops it
+            stalled = 0 if change < prev else stalled + 1
+            if change < tol or stalled == STAGNATION_ITERATIONS:
+                break
+        if not change < tol:
+            why = (f"stagnated: the change has not fallen for {stalled} iterations"
+                   if stalled == STAGNATION_ITERATIONS else f"did not reach tol in {max_iter} iterations")
             raise RuntimeError(
-                f"Picard iteration stagnated at sweep {it}: the change has not fallen for "
-                f"{stalled} sweeps (last change {change:.3g}, tol={tol})"
+                f"Picard iteration {why}, at iteration {it} of the block of refined cells [{lo}, {hi}) "
+                f"(t in [{grid.knots[lo]:.6g}, {grid.knots[hi]:.6g}]; last change {change:.3g}, tol={tol})"
             )
-    raise RuntimeError(
-        f"Picard iteration did not reach tol={tol} in {max_iter} sweeps "
-        f"(last change {change:.3g})"
-    )
+        velocity = g[-1]
+    new, g = _T(gamma, cellmap, w, anchors, offsets, zeta)
+    certificate = float(np.max(np.abs(new - zeta)))
+    return new, g, -(-(evaluations + ncells) // ncells), certificate
 
 
 def picard_points(
@@ -278,9 +303,8 @@ def picard_points(
     _check_budget(L, 1.0, "subdivide first")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     grid, cellmap = gamma.refined(max_dt)
-    zeta, g, iters, change = _picard_sweep(gamma, grid, cellmap, xs, 0.0, tol, max_iter)
-    bound = tol / (1.0 - L)
-    diag = PicardDiagnostics(iters, change, L, bound)
+    zeta, g, iters, change = _picard_march(gamma, grid, cellmap, xs, 0.0, tol, max_iter)
+    diag = PicardDiagnostics(iters, change, L, L / (1.0 - L) * change)
     return grid, zeta, g, diag
 
 
@@ -346,12 +370,12 @@ def local_evolve(
         path = GroupPath.neutral(proto, grid)
         diag = PicardDiagnostics(0, 0.0, 0.0, 0.0)
         return EvolutionResult(path, 1, [diag], gamma)
-    psi, g, iters, change = _picard_sweep(gamma, grid, cellmap, anchors, nodes, tol, max_iter)
+    psi, g, iters, change = _picard_march(gamma, grid, cellmap, anchors, nodes, tol, max_iter)
     shape = proto.shape + (proto.ncomp,)
     density = [proto.with_values(g[c].reshape(shape)) for c in range(grid.ncells)]
     path = GroupPath(grid, density)
     res_est = max(resampling_estimate(g[c].reshape(shape), proto.h) for c in range(grid.ncells))
-    diag = PicardDiagnostics(iters, change, L, tol / (1.0 - L), res_est)
+    diag = PicardDiagnostics(iters, change, L, L / (1.0 - L) * change, res_est)
     return EvolutionResult(path, 1, [diag], gamma)
 
 

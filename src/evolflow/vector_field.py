@@ -160,8 +160,9 @@ class _SplineField:
         ufl = np.floor(u)
         frac = u - ufl
         base = ufl.astype(np.int64)
-        # clipping after the cast keeps NaN points inside the table
-        np.clip(base, 0, n, out=base)
+        # clamping after the cast keeps NaN points inside the table; two
+        # ufuncs, since np.clip checks integer bounds at a cost per call
+        np.minimum(np.maximum(base, 0, out=base), n, out=base)
         return frac, np.take(cflat, (base @ strides)[:, None] + offs, axis=0)
 
     @staticmethod
@@ -317,7 +318,8 @@ class CompactField(_SplineField):
     def _grid_coords(self, points: np.ndarray, n) -> np.ndarray:
         # a point clamped onto the box face reads only zero-margin layers,
         # so values and derivatives outside the box are exact zeros
-        return np.clip((points - self.lo) / self.h, 0.0, n - 1)
+        u = (points - self.lo) / self.h
+        return np.minimum(np.maximum(u, 0.0, out=u), n - 1, out=u)
 
     def with_coeffs(self, coeffs: np.ndarray) -> "CompactField":
         return CompactField(self.lo, self.h, coeffs, self.margin)

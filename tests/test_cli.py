@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -80,10 +81,12 @@ def test_evolve_check_failure_exit_code(tmp_path):
 
 
 def test_solver_failure_writes_diagnostics(tmp_path, monkeypatch):
-    # one eval_cells call per Picard sweep
-    sweeps = []
+    # cell evaluations: the rows passed to eval_cells
+    rows = []
     eval_cells = evolution.TimeVelocity.eval_cells
-    monkeypatch.setattr(evolution.TimeVelocity, "eval_cells", lambda *a: sweeps.append(1) or eval_cells(*a))
+    monkeypatch.setattr(
+        evolution.TimeVelocity, "eval_cells", lambda self, cells, pts: rows.append(len(cells)) or eval_cells(self, cells, pts)
+    )
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, {
         "velocity": {"kind": "random_smooth", "seed": 3, "grid": 24, "cells": 2, "target_bound": 0.3},
@@ -94,9 +97,11 @@ def test_solver_failure_writes_diagnostics(tmp_path, monkeypatch):
     assert code == EXIT_SOLVER
     failure = json.loads((out / "failure.json").read_text())
     assert "error" in failure and "traceback" in failure
-    # the change stops falling at round-off, far above tol: fail fast
+    # the change stops falling at round-off, far above tol: fail fast, in
+    # fewer cell evaluations than 20 sweeps over the 256 refined cells
     assert "stagnated" in failure["error"] and "tol=1e-30" in failure["error"]
-    assert 0 < len(sweeps) < 20
+    assert re.search(r"block of refined cells \[\d+, \d+\) \(t in \[[0-9.e-]+, [0-9.e-]+\]", failure["error"])
+    assert 0 < sum(rows) < 20 * 256
 
 
 @pytest.mark.parametrize("key,value", [
@@ -130,10 +135,25 @@ def test_bad_continuity_key_is_a_config_error(tmp_path, capsys, key, value):
     assert not (out / "failure.json").exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("oracle", 5), ("oracle", [2]),
+    ("seeds", -3), ("seeds", 0), ("seeds", True), ("seeds", 2.5),
+    ("steps", 0), ("steps", "64"),
+    ("seed", "x"), ("seed", 1.5), ("seed", -1),
+])
+def test_bad_oracle_entry_is_a_config_error(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    oracle = value if key == "oracle" else {"seeds": 2, "steps": 64, key: value}
+    cfg = write_cfg(tmp_path, {"velocity": {"kind": "zero", "grid": 12}, "oracle": oracle})
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert ("oracle" if key == "oracle" else f"oracle.{key}") in capsys.readouterr().err
+    assert not (out / "failure.json").exists()
+
+
 def test_non_finite_velocity_fails_before_any_sweep(tmp_path, monkeypatch):
     sweeps = []
-    sweep = evolution._picard_sweep
-    monkeypatch.setattr(evolution, "_picard_sweep", lambda *a: sweeps.append(1) or sweep(*a))
+    march = evolution._picard_march
+    monkeypatch.setattr(evolution, "_picard_march", lambda *a: sweeps.append(1) or march(*a))
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, {
         # NaN is valid JSON to json.loads; it makes every coefficient and alpha NaN

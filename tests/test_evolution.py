@@ -32,6 +32,7 @@ from evolflow.instances import (
     zero_velocity,
 )
 from evolflow.lp_space import TimeGrid
+from evolflow.manifold_paths import evolve_torus
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +145,71 @@ def test_picard_matches_rk4(gamma):
     grid, zeta, g, diag = picard_points(gamma, xs, tol=1e-13)
     oracle = rk4_points(gamma, xs, 4096)[-1]
     assert np.max(np.abs(zeta[-1] - oracle)) < 1e-4
+
+
+# -- the march against the global sweep ----------------------------------------
+
+def _global_picard(gamma, grid, cellmap, anchors, offsets, tol, max_iter):
+    """Reference solver: Jacobi waveform relaxation, `_T` iterated over the
+    whole grid from the constant path until the change falls below tol."""
+    w = grid.widths()
+    zeta = np.broadcast_to(anchors, (grid.knots.size,) + anchors.shape).copy()
+    change = np.inf
+    stalled = 0
+    for it in range(1, max_iter + 1):
+        new, g = evolution._T(gamma, cellmap, w, anchors, offsets, zeta)
+        prev, change = change, float(np.max(np.abs(new - zeta)))
+        zeta = new
+        if change < tol:
+            return zeta, g
+        stalled = 0 if change < prev else stalled + 1
+        if stalled == 2:
+            raise RuntimeError(f"reference Picard stagnated at sweep {it} (last change {change:.3g})")
+    raise RuntimeError(f"reference Picard did not reach tol={tol} in {max_iter} sweeps")
+
+
+def _marches(monkeypatch, solve):
+    """Result of solve() and every (arguments, output) of the march inside it."""
+    calls = []
+    march = evolution._picard_march
+    monkeypatch.setattr(evolution, "_picard_march", lambda *a: calls.append((a, march(*a))) or calls[-1][1])
+    return solve(), calls
+
+
+@pytest.mark.parametrize("case", ["compact_local_evolve", "torus_window", "picard_points"])
+def test_march_agrees_with_global_sweep_and_certifies_itself(monkeypatch, case):
+    tol = 1e-11
+    if case == "compact_local_evolve":
+        gamma = random_smooth_velocity(7, grid=24, cells=3, target_bound=0.4)
+        result, calls = _marches(monkeypatch, lambda: local_evolve(gamma, tol=tol))
+        diags = result.segments
+    elif case == "torus_window":
+        # two windows over four cells: no window repeats, one march each
+        gamma = random_smooth_torus_velocity(11, grid=12, cells=4, target_bound=0.6)
+        result, calls = _marches(monkeypatch, lambda: evolve_torus(gamma, forced_n=2, tol=tol))
+        diags = result.segments
+    else:
+        gamma = random_smooth_velocity(42, target_bound=0.45)
+        xs = np.array([[0.45, 0.55], [0.62, 0.38], [0.3, 0.7]])
+        result, calls = _marches(monkeypatch, lambda: picard_points(gamma, xs, tol=tol))
+        diags = [result[3]]
+    assert len(calls) == len(diags) > 0
+    for (args, (zeta, g, iters, change)), diag in zip(calls, diags):
+        L = contraction_bound(args[0])
+        ref, ref_g = _global_picard(*args[:5], tol=1e-14, max_iter=200)
+        # agreement with the global solution, in knot values and densities
+        assert np.max(np.abs(zeta - ref)) < tol
+        assert np.max(np.abs(g - ref_g)) < tol
+        # the certificate: the Banach bound plus the reference's own error
+        # bound and round-off
+        assert diag.last_change == change and diag.contraction == L
+        assert diag.residual_bound == pytest.approx(L / (1.0 - L) * change, rel=1e-15)
+        slack = 1e-14 / (1.0 - L) + 1e-15
+        assert np.max(np.abs(zeta - ref)) <= diag.residual_bound + slack
+        # never looser than the bound of the stopping rule it replaced
+        assert diag.residual_bound <= tol / (1.0 - L)
+        # the returned knots are T(zeta): the integrals of the returned densities
+        assert np.array_equal(zeta[1:], np.cumsum(args[1].widths()[:, None, None] * g, axis=0) + args[3])
 
 
 # -- field-valued solver -----------------------------------------------------
