@@ -5,12 +5,9 @@ from .lp_space import (
     LpSample,
     Seminorm,
     euclidean,
-    sup_norm,
-    weighted,
     lp_seminorm,
     ess_sup_seminorm,
     weak_integral,
-    subdivide,
 )
 from .ac_path import (
     AcPath,
@@ -27,9 +24,6 @@ from .ac_path import (
 from .vector_field import (
     CompactField,
     PeriodicField,
-    vf_eval,
-    vf_jacobian,
-    vf_alpha,
     vf_compose_displacement,
     save_field,
     load_field,
@@ -40,16 +34,13 @@ from .diff_group import (
     star,
     inverse,
     d_rho,
-    in_chart_check,
     group_path_distance,
 )
 from .evolution import (
     TimeVelocity,
     EvolutionResult,
-    apply_along,
     apply_T,
     contraction_bound,
-    picard_point,
     local_evolve,
     evolve,
     flow_point,
@@ -63,8 +54,6 @@ from .manifold_paths import (
     chart_psi_inv,
     transition,
     section_embed,
-    section_glue,
-    const_path,
     point_eval,
     evolve_torus,
 )

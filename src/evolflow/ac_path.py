@@ -77,13 +77,6 @@ class AcPath:
     def scaled(self, s: float) -> "AcPath":
         return AcPath(s * self.start, self.density.scaled(s))
 
-    def to_json(self) -> dict:
-        return {"start": self.start.tolist(), "density": self.density.to_json()}
-
-    @staticmethod
-    def from_json(obj: dict) -> "AcPath":
-        return AcPath(np.asarray(obj["start"]), LpSample.from_json(obj["density"]))
-
     @staticmethod
     def constant(x, grid: TimeGrid, p: float = 1.0) -> "AcPath":
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -139,21 +132,6 @@ class SmoothMap:
     fn: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray]
     domain: Callable[[np.ndarray], np.ndarray] | None = None
-
-    @staticmethod
-    def identity() -> "SmoothMap":
-        return SmoothMap(
-            lambda x: x.copy(),
-            lambda x: np.broadcast_to(np.eye(x.shape[1]), (x.shape[0], x.shape[1], x.shape[1])).copy(),
-        )
-
-    @staticmethod
-    def linear(A) -> "SmoothMap":
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        return SmoothMap(
-            lambda x: x @ A.T,
-            lambda x: np.broadcast_to(A, (x.shape[0],) + A.shape).copy(),
-        )
 
 
 def ac_eval(path: AcPath, t: float) -> np.ndarray:

@@ -1,18 +1,21 @@
 """Configuration-driven experiment runner.
 
     evolflow <command> --config FILE [--out DIR] [--threads N] [--seed S]
-                       [--render] [--verbose]
+                       [--render]
 
 Commands: evolve, continuity-study, subdivision-study, property-check,
-torus-evolve.  Exit codes: 0 all checks pass, 1 configuration error,
-2 solver failure, 3 declared check failed.  CSV output uses a header row,
-'.' decimals, LF endings, and is byte-identical for any --threads value.
+torus-evolve.  Each command accepts the top-level config keys of its own
+table below; any other key is a configuration error.  Exit codes: 0 all
+checks pass, 1 configuration error, 2 solver failure, 3 declared check
+failed.  CSV output uses a header row, '.' decimals, LF endings, and is
+byte-identical for any --threads value.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import difflib
 import json
 import math
 import sys
@@ -24,12 +27,13 @@ import numpy as np
 from . import diff_group, evolution, instances
 from ._parallel import ordered_thread_map
 from .evolution import (
+    SUBDIVISION_LIMIT,
     TimeVelocity,
-    choose_subdivision,
     contraction_bound,
     evolve,
     flow_point,
     rk4_points,
+    window_budgets,
 )
 
 EXIT_OK = 0
@@ -60,13 +64,6 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    # the declared checks; json.loads reads Infinity and NaN, which would disarm them
-    checks = dict(cfg)
-    if isinstance(cfg.get("oracle"), dict) and "tolerance" in cfg["oracle"]:
-        checks["oracle.tolerance"] = cfg["oracle"]["tolerance"]
-    for key, val in checks.items():
-        if key.endswith(("tolerance", "threshold")) and not _is_positive(val):
-            raise ConfigError(f"{key} must be a finite number > 0, got {val!r}")
     return cfg
 
 
@@ -95,45 +92,85 @@ def _is_int(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
 
 
-# config keys: what each must be, and the check of it
+def _is_count(val, least: int = 1) -> bool:
+    return _is_int(val) and val >= least
+
+
+# config keys: what each must be, and the check of it.  json.loads reads
+# Infinity and NaN, so a declared tolerance must be checked to be finite.
+_POSITIVE = ("a finite number > 0", _is_positive)
+_OBJECT = ("an object", lambda v: isinstance(v, dict))
 _SOLVER_KEYS = {
     "L_max": ("a number in (0, 1]", lambda v: _is_real(v) and 0 < v <= 1),
-    "tol": ("a finite number > 0", _is_positive),
-    "max_dt": ("a finite number > 0", _is_positive),
-    "forced_n": ("a positive integer", lambda v: _is_int(v) and v >= 1),
+    "tol": _POSITIVE,
+    "max_dt": _POSITIVE,
+    "forced_n": ("a positive integer", _is_count),
 }
 _ORACLE_KEYS = {
-    "seeds": ("a positive integer", lambda v: _is_int(v) and v >= 1),
-    "steps": ("a positive integer", lambda v: _is_int(v) and v >= 1),
-    "seed": ("a non-negative integer", lambda v: _is_int(v) and v >= 0),
+    "seeds": ("a positive integer", _is_count),
+    "steps": ("a positive integer", _is_count),
+    "seed": ("a non-negative integer", lambda v: _is_count(v, 0)),
+    "tolerance": _POSITIVE,
 }
-_CONTINUITY_KEYS = {
-    "levels": ("an integer >= 2", lambda v: _is_int(v) and v >= 2),
-    "monotone_factor": ("a finite number > 0", _is_positive),
+# one table per command: every top-level key it reads, with a nested table
+# for an object entry; a velocity spec's own keys are checked by
+# instances.resolve_velocity
+_EVOLVE_KEYS = {
+    "velocity": _OBJECT,
+    "oracle": _ORACLE_KEYS,
+    "residual_tolerance": _POSITIVE,
+    "save_path": ("true or false", lambda v: isinstance(v, bool)),
+    **_SOLVER_KEYS,
+}
+_COMMAND_KEYS = {
+    "evolve": _EVOLVE_KEYS,
+    "torus-evolve": _EVOLVE_KEYS,
+    "continuity-study": {
+        "velocity": _OBJECT,
+        "perturbation": _OBJECT,
+        "levels": ("an integer >= 2", lambda v: _is_count(v, 2)),
+        "monotone_factor": _POSITIVE,
+        "final_threshold": _POSITIVE,
+        **_SOLVER_KEYS,
+    },
+    "subdivision-study": {
+        "velocity": _OBJECT,
+        "n_values": (
+            f"a non-empty list of integers in [1, {SUBDIVISION_LIMIT}]",
+            lambda v: isinstance(v, list) and v != [] and all(_is_count(n) and n <= SUBDIVISION_LIMIT for n in v),
+        ),
+    },
+    "property-check": {
+        "seed": ("a non-negative integer", lambda v: _is_count(v, 0)),
+        "dim": ("a positive integer", _is_count),
+        "grid": ("a positive integer", _is_count),
+        "target_bound": _POSITIVE,
+        "residual_bound": _POSITIVE,
+    },
 }
 
 
 def _checked_keys(cfg: dict, keys: dict, where: str = "") -> dict:
-    """The entries of cfg named in keys, each checked; ConfigError names a
-    bad one, prefixed with ``where``."""
-    kw = {}
-    for key, (what, ok) in keys.items():
-        if key in cfg:
-            if not ok(cfg[key]):
-                raise ConfigError(f"{where}{key} must be {what}, got {cfg[key]!r}")
-            kw[key] = cfg[key]
-    return kw
+    """cfg, once every entry is checked against keys, the table of all the
+    keys allowed there; ConfigError names an unknown or a bad entry,
+    prefixed with ``where``."""
+    for key, val in cfg.items():
+        if key not in keys:
+            close = difflib.get_close_matches(key, keys, n=1)
+            hint = f"did you mean {where}{close[0]}?" if close else f"known keys: {', '.join(keys)}"
+            raise ConfigError(f"unknown config key {where}{key}; {hint}")
+        check = keys[key]
+        if isinstance(check, dict):
+            if not isinstance(val, dict):
+                raise ConfigError(f"{where}{key} must be an object, got {val!r}")
+            _checked_keys(val, check, f"{where}{key}.")
+        elif not check[1](val):
+            raise ConfigError(f"{where}{key} must be {check[0]}, got {val!r}")
+    return cfg
 
 
-def _oracle_config(cfg: dict) -> dict | None:
-    """The checked ``oracle`` entry of an evolve config, or None without one."""
-    if "oracle" not in cfg:
-        return None
-    oracle_cfg = cfg["oracle"]
-    if not isinstance(oracle_cfg, dict):
-        raise ConfigError(f"oracle must be an object, got {oracle_cfg!r}")
-    _checked_keys(oracle_cfg, _ORACLE_KEYS, "oracle.")
-    return oracle_cfg
+def _solver_kwargs(cfg: dict) -> dict:
+    return {key: cfg[key] for key in _SOLVER_KEYS if key in cfg}
 
 
 def _oracle_rows(case: int, gamma: TimeVelocity, result, oracle_cfg: dict, wrap: bool):
@@ -197,8 +234,8 @@ def _render_ppm(result, out: Path, name: str, size: int = 400, lines: int = 12) 
 
 
 def cmd_evolve(cfg: dict, out: Path, threads: int, seed: int | None, render: bool, torus: bool) -> int:
-    kw = _checked_keys(cfg, _SOLVER_KEYS)
-    oracle_cfg = _oracle_config(cfg)
+    kw = _solver_kwargs(cfg)
+    oracle_cfg = cfg.get("oracle")
     gammas = _velocities(cfg, seed)
     evolver = evolve
     if torus:
@@ -242,18 +279,17 @@ def cmd_evolve(cfg: dict, out: Path, threads: int, seed: int | None, render: boo
 
 
 def cmd_continuity(cfg: dict, out: Path, threads: int, seed: int | None) -> int:
-    kw = _checked_keys(cfg, _SOLVER_KEYS)
-    study = _checked_keys(cfg, _CONTINUITY_KEYS)
+    kw = _solver_kwargs(cfg)
     gammas = _velocities(cfg, seed)
     deltas = _velocities(cfg, None, "perturbation")
     if len(gammas) != 1 or len(deltas) != 1:
         raise ConfigError("continuity-study takes a single velocity and a single perturbation")
-    levels = study.get("levels", 6)
+    levels = cfg.get("levels", 6)
     pairs = evolution.continuity_probe(gammas[0], deltas[0], levels, threads=threads, **kw)
     rows = [[k, scale, dist] for k, (scale, dist) in enumerate(pairs)]
     _write_csv(out / "continuity.csv", ["level", "scale", "distance"], rows)
     dists = [d for _, d in pairs]
-    factor = float(study.get("monotone_factor", 1.1))
+    factor = float(cfg.get("monotone_factor", 1.1))
     ok = all(dists[k + 1] <= factor * dists[k] for k in range(len(dists) - 1))
     threshold = cfg.get("final_threshold")
     if threshold is not None and dists[-1] >= threshold:
@@ -267,13 +303,10 @@ def cmd_subdivision(cfg: dict, out: Path, threads: int, seed: int | None) -> int
         raise ConfigError("subdivision-study takes a single velocity")
     gamma = gammas[0]
     total = contraction_bound(gamma)
-    n_values = cfg.get("n_values", [1, 2, 4, 8, 16])
-    rows = []
-    for n in n_values:
-        budgets = [
-            contraction_bound(gamma.subdivide(int(n), k)) for k in range(int(n))
-        ]
-        rows.append([int(n), max(budgets), total / int(n), total])
+    rows = [
+        [n, float(np.max(window_budgets(gamma, n))), total / n, total]
+        for n in cfg.get("n_values", [1, 2, 4, 8, 16])
+    ]
     _write_csv(out / "subdivision.csv", ["n", "max_budget", "total_over_n", "total"], rows)
     return EXIT_OK
 
@@ -281,14 +314,10 @@ def cmd_subdivision(cfg: dict, out: Path, threads: int, seed: int | None) -> int
 def cmd_property_check(cfg: dict, out: Path, threads: int, seed: int | None) -> int:
     from .diff_group import GroupElement, inverse, star, identity_like
 
-    seed = seed if seed is not None else int(cfg.get("seed", 0))
-    gamma = instances.random_smooth_velocity(
-        seed,
-        dim=int(cfg.get("dim", 2)),
-        grid=int(cfg.get("grid", 24)),
-        cells=2,
-        target_bound=float(cfg.get("target_bound", 0.3)),
-    )
+    seed = seed if seed is not None else cfg.get("seed", 0)
+    spec = {"kind": "random_smooth", "seed": seed, "dim": cfg.get("dim", 2), "grid": cfg.get("grid", 24),
+            "cells": 2, "target_bound": cfg.get("target_bound", 0.3)}
+    (gamma,) = _velocities({"velocity": spec}, None)
     phi = GroupElement(instances.random_plateau_field(seed, target_alpha=0.9))
     e = identity_like(phi.disp)
     rows = []
@@ -299,10 +328,10 @@ def cmd_property_check(cfg: dict, out: Path, threads: int, seed: int | None) -> 
     check("neutral_right", (star(phi, e).disp - phi.disp).sup_seminorm(), 1e-9)
     check("neutral_left", (star(e, phi).disp - phi.disp).sup_seminorm(), 1e-9)
     small = GroupElement(phi.disp.scaled(0.3 / 0.9))
-    check("inverse_law", star(small, inverse(small)).sup_norm(), 1e-8)
+    check("inverse_law", star(small, inverse(small)).disp.sup_seminorm(), 1e-8)
     res = evolution.evolve(gamma)
     # the residual floor is the density resampling error of the grid in use
-    check("evolve_residual", res.residual, float(cfg.get("residual_bound", 1e-5)))
+    check("evolve_residual", res.residual, cfg.get("residual_bound", 1e-5))
     _write_csv(out / "property_check.csv", ["name", "value", "bound", "status"], rows)
     return EXIT_OK if all(r[3] == "pass" for r in rows) else EXIT_CHECK
 
@@ -317,12 +346,11 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--render", action="store_true")
-    parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
     out = Path(args.out)
     try:
-        cfg = _load_config(args.config)
+        cfg = _checked_keys(_load_config(args.config), _COMMAND_KEYS[args.command])
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "evolve":
             code = cmd_evolve(cfg, out, args.threads, args.seed, args.render, torus=False)
@@ -345,8 +373,6 @@ def main(argv=None) -> int:
         }, indent=2))
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    if args.verbose:
-        print(f"{args.command}: exit {code}, artifacts in {out}")
     return code
 
 

@@ -25,12 +25,10 @@ from .vector_field import (
 __all__ = [
     "GroupElement",
     "GroupPath",
-    "ChartDiagnostic",
     "identity_like",
     "star",
     "inverse",
     "d_rho",
-    "in_chart_check",
     "group_path_distance",
     "save_group_path",
     "load_group_path",
@@ -42,13 +40,6 @@ class GroupElement:
     """A chart point: the displacement of id + phi."""
 
     disp: _SplineField
-
-    @property
-    def alpha(self) -> float:
-        return self.disp.alpha()
-
-    def sup_norm(self, div: int = 4) -> float:
-        return self.disp.sup_seminorm(div)
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """(id + phi)(points)."""
@@ -70,7 +61,7 @@ def inverse(phi: GroupElement, tol: float = 1e-10, max_iter: int = 500) -> Group
 
     Requires alpha(phi) < 1, which makes the iteration a contraction.
     """
-    a = phi.alpha
+    a = phi.disp.alpha()
     if a >= 1.0:
         raise ValueError(f"inverse needs alpha < 1, got {a:.4g}")
     nodes = phi.disp.nodes()
@@ -90,79 +81,6 @@ def inverse(phi: GroupElement, tol: float = 1e-10, max_iter: int = 500) -> Group
 def d_rho(psi: GroupElement, vf: _SplineField) -> _SplineField:
     """Derivative of right translation by psi: vf -> vf o (id + psi)."""
     return vf_compose_displacement(vf, psi.disp)
-
-
-@dataclass
-class ChartDiagnostic:
-    ok: bool
-    alpha: float
-    min_det: float
-    injective: bool
-
-
-def in_chart_check(disp: _SplineField, delta_det: float = 1e-6) -> ChartDiagnostic:
-    """Certify that id + disp is a diffeomorphism of the model grid.
-
-    Primary criterion: alpha < 1.  Fallback: det(I + D disp) bounded below on
-    the sampling lattice together with a cell-wise bounding-box injectivity
-    check.
-    """
-    a = disp.alpha()
-    pts = disp._lattice(2)
-    jac = disp.jacobian(pts)
-    eye = np.eye(disp.dimension)
-    min_det = float(np.min(np.linalg.det(eye + jac)))
-    if a < 1.0:
-        return ChartDiagnostic(True, a, min_det, True)
-    inj = _lattice_injective(disp)
-    ok = min_det >= delta_det and inj
-    return ChartDiagnostic(ok, a, min_det, inj)
-
-
-def _lattice_injective(disp: _SplineField) -> bool:
-    """Conservative injectivity check for id + disp on the node lattice.
-
-    Each grid cell is mapped to the bounding box of its displaced corners,
-    inflated by that cell's own worst-case stretch; boxes of non-adjacent
-    cells must not intersect.
-    """
-    import itertools as _it
-
-    nodes = disp.nodes()
-    mapped = (nodes + disp.eval(nodes)).reshape(disp.shape + (disp.dimension,))
-    d = disp.dimension
-    # per-cell Lipschitz estimate from a refined lattice of Jacobian norms
-    div = 2
-    fine = spectral_norms(disp.jacobian(disp._lattice(div)))
-    fine = fine.reshape(tuple(div * (s - 1) + 1 for s in disp.shape))
-    cell_sup = np.zeros(tuple(s - 1 for s in disp.shape))
-    for offs in _it.product(range(div + 1), repeat=d):
-        sl = tuple(
-            slice(o, fine.shape[ax] - div + o, div) for ax, o in enumerate(offs)
-        )
-        np.maximum(cell_sup, fine[sl], out=cell_sup)
-    stretch = 1.05 * cell_sup * disp.h * np.sqrt(d)
-    # collect per-cell boxes
-    corners = []
-    for offs in _it.product([0, 1], repeat=d):
-        sl = tuple(slice(o, disp.shape[ax] - 1 + o) for ax, o in enumerate(offs))
-        corners.append(mapped[sl])
-    stack = np.stack(corners)
-    lo = stack.min(axis=0) - 0.5 * stretch[..., None]
-    hi = stack.max(axis=0) + 0.5 * stretch[..., None]
-    lo_flat = lo.reshape(-1, d)
-    hi_flat = hi.reshape(-1, d)
-    cells = np.stack(
-        np.meshgrid(*[np.arange(s - 1) for s in disp.shape], indexing="ij"), axis=-1
-    ).reshape(-1, d)
-    # brute-force pair scan is fine at diagnostic grid sizes
-    m = lo_flat.shape[0]
-    for i in range(m):
-        overlap = np.all((lo_flat[i] <= hi_flat) & (hi_flat[i] >= lo_flat), axis=1)
-        neighbors = np.max(np.abs(cells - cells[i]), axis=1) <= 1
-        if np.any(overlap & ~neighbors):
-            return False
-    return True
 
 
 @dataclass

@@ -23,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .ac_path import AcPath, ContinuousTrace
+from .ac_path import ContinuousTrace
 from .diff_group import GroupPath, d_rho, group_path_distance, identity_like, star
-from .lp_space import GridError, LpSample, TimeGrid
+from .lp_space import GridError, TimeGrid
 from .vector_field import (
     _SplineField, load_manifest, resampling_estimate, save_manifest, stack_fields, unstack_field,
 )
@@ -35,11 +35,9 @@ __all__ = [
     "TimeVelocity",
     "PicardDiagnostics",
     "EvolutionResult",
-    "apply_along",
     "apply_T",
     "contraction_bound",
-    "contraction_bounds",
-    "picard_point",
+    "window_budgets",
     "picard_points",
     "rk4_points",
     "local_evolve",
@@ -84,9 +82,6 @@ class TimeVelocity:
 
     def alpha_values(self) -> np.ndarray:
         return np.array([f.alpha() for f in self.fields])
-
-    def alpha_sample(self) -> LpSample:
-        return LpSample(self.grid, self.alpha_values()[:, None], self.p)
 
     def field_at(self, t: float) -> _SplineField:
         return self.fields[self.grid.cell_of(t)]
@@ -192,26 +187,14 @@ def _T(gamma: TimeVelocity, cells, w, anchors, offsets, zeta):
     return new, g
 
 
-def _apply_T_trace(gamma: TimeVelocity, x: np.ndarray, zeta: ContinuousTrace):
-    """T(gamma, x, zeta) on the common refinement of the two grids:
-    (grid, knot values, midpoint velocities)."""
+def apply_T(gamma: TimeVelocity, x, zeta: ContinuousTrace) -> ContinuousTrace:
+    """One application of the integral operator T(gamma, x, .), on the
+    common refinement of the two grids."""
     grid = gamma.grid.refine(zeta.grid)
     cells = gamma.grid.cell_of(grid.midpoints())
-    vals, g = _T(gamma, cells, grid.widths(), x, 0.0, zeta.eval_many(grid.knots)[:, None])
-    return grid, vals[:, 0], g[:, 0]
-
-
-def apply_along(gamma: TimeVelocity, zeta: ContinuousTrace) -> LpSample:
-    """The step sample t -> gamma(t)(zeta(t)), midpoint-sampled per cell of
-    the common refinement of the two grids."""
-    grid, _, g = _apply_T_trace(gamma, np.zeros(zeta.dim), zeta)
-    return LpSample(grid, g, gamma.p)
-
-
-def apply_T(gamma: TimeVelocity, x, zeta: ContinuousTrace) -> ContinuousTrace:
-    """One application of the integral operator T(gamma, x, .)."""
-    grid, vals, _ = _apply_T_trace(gamma, np.atleast_1d(np.asarray(x, dtype=float)), zeta)
-    return ContinuousTrace(grid, vals)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    vals, _ = _T(gamma, cells, grid.widths(), x, 0.0, zeta.eval_many(grid.knots)[:, None])
+    return ContinuousTrace(grid, vals[:, 0])
 
 
 def contraction_bound(gamma: TimeVelocity) -> float:
@@ -225,17 +208,6 @@ def _check_budget(L: float, bound: float, remedy: str) -> None:
         raise ValueError(f"contraction bound {L} is not finite: the velocity field holds non-finite values")
     if not (L < bound):
         raise ValueError(f"contraction bound {L:.4g} >= {bound}; {remedy}")
-
-
-def contraction_bounds(gamma: TimeVelocity) -> dict:
-    from .lp_space import lp_seminorm, euclidean
-
-    sample = gamma.alpha_sample()
-    q = euclidean()
-    return {
-        "l1": lp_seminorm(sample, q, p=1.0),
-        "lp": lp_seminorm(sample, q, p=gamma.p),
-    }
 
 
 # -- point solver ----------------------------------------------------------
@@ -308,20 +280,6 @@ def picard_points(
     return grid, zeta, g, diag
 
 
-def picard_point(
-    gamma: TimeVelocity,
-    x,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-    max_dt: float = DEFAULT_MAX_DT,
-) -> tuple[AcPath, PicardDiagnostics]:
-    """Trajectory of a single point as an absolutely continuous path."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    grid, zeta, g, diag = picard_points(gamma, x[None], tol, max_iter, max_dt)
-    traj = AcPath(x, LpSample(grid, g[:, 0, :], gamma.p))
-    return traj, diag
-
-
 # -- reference integrator --------------------------------------------------
 
 def rk4_points(gamma: TimeVelocity, xs: np.ndarray, steps: int) -> np.ndarray:
@@ -379,16 +337,17 @@ def local_evolve(
     return EvolutionResult(path, 1, [diag], gamma)
 
 
-def _window_budget_max(gamma: TimeVelocity, n: int) -> float:
-    """max_k integral over [k/n,(k+1)/n] of alpha(gamma(s)) ds, exact."""
+def window_budgets(gamma: TimeVelocity, n: int) -> np.ndarray:
+    """The budget of each window k of n: the integral of alpha(gamma(s))
+    over [k/n, (k+1)/n], exact for the step curve of cell alphas."""
     knots = gamma.grid.knots
     alphas = gamma.alpha_values()
-    budgets = []
+    budgets = np.empty(n)
     for k in range(n):
         lo_c = np.clip(knots[:-1], k / n, (k + 1) / n)
         hi_c = np.clip(knots[1:], k / n, (k + 1) / n)
-        budgets.append(np.sum((hi_c - lo_c) * alphas))
-    return float(np.max(budgets))  # NaN propagates, unlike max()
+        budgets[k] = np.sum((hi_c - lo_c) * alphas)
+    return budgets
 
 
 def choose_subdivision(gamma: TimeVelocity, L_max: float = DEFAULT_L_MAX) -> int:
@@ -396,7 +355,8 @@ def choose_subdivision(gamma: TimeVelocity, L_max: float = DEFAULT_L_MAX) -> int
     if not (0.0 < L_max <= 1.0):
         raise ValueError(f"L_max must lie in (0, 1], got {L_max}")
     n = 1
-    while not ((budget := _window_budget_max(gamma, n)) < L_max):
+    # np.max, unlike max(), propagates a NaN budget
+    while not ((budget := float(np.max(window_budgets(gamma, n)))) < L_max):
         if not np.isfinite(budget):
             raise ValueError(f"window budget {budget} is not finite: the velocity field holds non-finite values")
         n *= 2

@@ -9,7 +9,6 @@ checks free of quadrature error.  Piecewise-linear curves are
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,13 +21,9 @@ __all__ = [
     "LpSample",
     "Seminorm",
     "euclidean",
-    "sup_norm",
-    "weighted",
     "lp_seminorm",
     "ess_sup_seminorm",
     "weak_integral",
-    "subdivide",
-    "samples_equal",
 ]
 
 
@@ -138,17 +133,6 @@ def euclidean(dim: int | None = None) -> Seminorm:
     return Seminorm("euclidean", lambda v: np.linalg.norm(v, axis=1), dim)
 
 
-def sup_norm(dim: int | None = None) -> Seminorm:
-    return Seminorm("sup", lambda v: np.max(np.abs(v), axis=1), dim)
-
-
-def weighted(w) -> Seminorm:
-    w = np.asarray(w, dtype=float)
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    return Seminorm("weighted", lambda v: np.abs(v) @ w, w.size)
-
-
 @dataclass(frozen=True)
 class LpSample:
     """A representative of a class in L^p([a,b], R^m): one value per cell."""
@@ -206,27 +190,6 @@ class LpSample:
     def scaled(self, s: float) -> "LpSample":
         return LpSample(self.grid, s * self.values, self.p)
 
-    def to_json(self) -> dict:
-        return {
-            "a": self.grid.a,
-            "b": self.grid.b,
-            "p": None if np.isinf(self.p) else self.p,
-            "knots": self.grid.knots.tolist(),
-            "values": self.values.tolist(),
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "LpSample":
-        p = np.inf if obj.get("p") is None else float(obj["p"])
-        return LpSample(TimeGrid(np.asarray(obj["knots"])), np.asarray(obj["values"]), p)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
-    @staticmethod
-    def loads(s: str) -> "LpSample":
-        return LpSample.from_json(json.loads(s))
-
 
 def lp_seminorm(f: LpSample, q: Seminorm, p: float | None = None) -> float:
     """(integral of q(f)^p)^(1/p), exact for step functions.  p = inf falls
@@ -251,25 +214,3 @@ def weak_integral(f: LpSample, t0: float, t1: float) -> np.ndarray:
     lo = np.clip(f.grid.knots[:-1], t0, t1)
     hi = np.clip(f.grid.knots[1:], t0, t1)
     return (hi - lo) @ f.values
-
-
-def subdivide(f: LpSample, n: int, k: int) -> LpSample:
-    """The rescaled restriction t -> f((k+t)/n)/n on [0,1].
-
-    Exact for step functions: see `TimeGrid.subdivided` for the knots.
-    """
-    grid = f.grid.subdivided(n, k)
-    return LpSample(grid, f.eval_many((grid.midpoints() + k) / n) / n, f.p)
-
-
-def samples_equal(f: LpSample, g: LpSample, tol: float = 0.0) -> bool:
-    """Equality as L^p classes: agreement of common-refinement cell values."""
-    if f.dim != g.dim:
-        return False
-    try:
-        grid = f.grid.refine(g.grid)
-    except GridError:
-        return False
-    a = f.on_refinement(grid)
-    b = g.on_refinement(grid)
-    return bool(np.max(np.abs(a.values - b.values)) <= tol)

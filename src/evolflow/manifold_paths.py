@@ -30,16 +30,11 @@ __all__ = [
     "chart_psi_inv",
     "transition",
     "section_embed",
-    "section_glue",
-    "const_path",
     "point_eval",
-    "torus_path_split",
-    "torus_path_merge",
     "evolve_torus",
 ]
 
 TORUS_RHO = 0.5
-COMPAT_TOL = 1e-10
 
 
 def wrap_point(x):
@@ -61,9 +56,6 @@ class LocalAddition:
     rho: float
     sigma: Callable
     theta_inv: Callable
-
-    def theta(self, p, v):
-        return p, self.sigma(p, v)
 
 
 def local_addition(tag: str) -> LocalAddition:
@@ -110,12 +102,6 @@ def circle_chart_from_point(chart: str, theta):
     raise ValueError(f"unknown circle chart {chart!r}")
 
 
-def circle_transition(src: str, dst: str, u):
-    if src == dst:
-        return np.asarray(u, dtype=float)
-    return 1.0 / np.asarray(u, dtype=float)
-
-
 def circle_transition_derivative(src: str, dst: str, u):
     if src == dst:
         return np.ones_like(np.asarray(u, dtype=float))
@@ -158,24 +144,8 @@ class ManifoldAcPath:
     def b(self) -> float:
         return self.segments[-1][1].b
 
-    @property
-    def partition(self) -> np.ndarray:
-        return np.array([self.segments[0][1].a] + [s.b for _, s in self.segments])
-
     def segment_for(self, t: float) -> tuple[str, AcPath]:
         return _segment_at(self.segments, t)
-
-    def to_json(self) -> dict:
-        return {
-            "manifold": self.manifold,
-            "partition": self.partition.tolist(),
-            "segments": [{"chart": c, "acpath": s.to_json()} for c, s in self.segments],
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "ManifoldAcPath":
-        segs = tuple((s["chart"], AcPath.from_json(s["acpath"])) for s in obj["segments"])
-        return ManifoldAcPath(obj["manifold"], segs)
 
 
 @dataclass(frozen=True)
@@ -184,29 +154,6 @@ class SectionTuple:
 
     base: ManifoldAcPath
     segments: tuple  # of (chart_id, AcPath)
-
-    def validate(self, tol: float = COMPAT_TOL):
-        """Knot compatibility: section values transported by the chart
-        transition agree at every interior knot."""
-        for i in range(len(self.segments) - 1):
-            ci, si = self.segments[i]
-            cj, sj = self.segments[i + 1]
-            t = si.b
-            vi = ac_eval(si, t)
-            vj = ac_eval(sj, t)
-            if self.base.manifold == "circle_stereo":
-                # base coordinate in the (i+1)-th chart
-                cb, bseg_j = self.base.segments[min(i + 1, len(self.base.segments) - 1)]
-                uj = ac_eval(bseg_j, t)
-                factor = circle_transition_derivative(cj, ci, uj)
-                transported = factor * vj
-            else:
-                transported = vj
-            if np.max(np.abs(vi - transported)) > tol:
-                raise ValueError(
-                    f"knot compatibility violated at t={t}: {vi} vs {transported}"
-                )
-        return self
 
 
 def _require_torus(path: ManifoldAcPath):
@@ -314,19 +261,6 @@ def _scale_section(piece: AcPath, base: AcPath, src: str, dst: str) -> AcPath:
     return AcPath(start, LpSample(grid, density, piece.p))
 
 
-def section_glue(base: ManifoldAcPath, pieces, tol: float = COMPAT_TOL) -> SectionTuple:
-    """Reassemble an embedded tuple into a section, checking compatibility."""
-    sigma = SectionTuple(base, tuple(pieces))
-    return sigma.validate(tol)
-
-
-def const_path(q, grid: TimeGrid, manifold: str = "torus", p: float = 1.0) -> ManifoldAcPath:
-    """The constant path at a point, with zero density."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    chart = "torus" if manifold.startswith("torus") else "north"
-    return ManifoldAcPath(manifold, ((chart, AcPath.constant(q, grid, p)),))
-
-
 def point_eval(eta: ManifoldAcPath, t: float) -> np.ndarray:
     """The manifold point eta(t)."""
     chart, seg = eta.segment_for(t)
@@ -334,38 +268,6 @@ def point_eval(eta: ManifoldAcPath, t: float) -> np.ndarray:
     if eta.manifold.startswith("torus"):
         return wrap_point(coord)
     return np.atleast_1d(circle_point_from_chart(chart, coord))
-
-
-def torus_path_split(eta: ManifoldAcPath, d1: int) -> tuple[ManifoldAcPath, ManifoldAcPath]:
-    """Split a path into T^(d1) x T^(d2) into its component paths."""
-    _require_torus(eta)
-    def project(lo, hi, tag):
-        segs = tuple(
-            (chart, AcPath(seg.start[lo:hi],
-                           LpSample(seg.density.grid, seg.density.values[:, lo:hi], seg.p)))
-            for chart, seg in eta.segments
-        )
-        return ManifoldAcPath(tag, segs)
-    d = eta.segments[0][1].dim
-    return project(0, d1, f"torus_{d1}"), project(d1, d, f"torus_{d - d1}")
-
-
-def torus_path_merge(e1: ManifoldAcPath, e2: ManifoldAcPath) -> ManifoldAcPath:
-    _require_torus(e1)
-    _require_torus(e2)
-    segs = []
-    for (chart, s1), (_, s2) in zip(e1.segments, e2.segments):
-        density = LpSample(
-            s1.density.grid.refine(s2.density.grid),
-            np.hstack([
-                s1.density.on_refinement(s1.density.grid.refine(s2.density.grid)).values,
-                s2.density.on_refinement(s1.density.grid.refine(s2.density.grid)).values,
-            ]),
-            s1.p,
-        )
-        segs.append((chart, AcPath(np.concatenate([s1.start, s2.start]), density)))
-    d = segs[0][1].dim
-    return ManifoldAcPath(f"torus_{d}", tuple(segs))
 
 
 def evolve_torus(gamma: TimeVelocity, **kwargs) -> EvolutionResult:

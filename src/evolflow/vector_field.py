@@ -10,6 +10,8 @@ derivatives of the spline, never finite differences.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -19,9 +21,6 @@ from scipy import ndimage
 __all__ = [
     "CompactField",
     "PeriodicField",
-    "vf_eval",
-    "vf_jacobian",
-    "vf_alpha",
     "vf_compose_displacement",
     "stack_fields",
     "unstack_field",
@@ -376,38 +375,8 @@ class PeriodicField(_SplineField):
 
     with_values = _SplineField.with_values
 
-    @staticmethod
-    def zero(d: int, n: int, ncomp: int) -> "PeriodicField":
-        return PeriodicField(np.zeros((n,) * d + (ncomp,)))
-
-    @staticmethod
-    def from_function(d: int, n: int, fn, ncomp: int) -> "PeriodicField":
-        proto = PeriodicField.zero(d, n, ncomp)
-        vals = fn(proto.nodes()).reshape((n,) * d + (ncomp,))
-        return proto.with_values(vals)
-
 
 # -- functional surface ----------------------------------------------------
-
-def vf_eval(field: _SplineField, x) -> np.ndarray:
-    """Point value of the field; exactly zero outside a compact box."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return field.eval(x[None])[0]
-    return field.eval(x)
-
-
-def vf_jacobian(field: _SplineField, x) -> np.ndarray:
-    """Analytic spline Jacobian at a point (or batch of points)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return field.jacobian(x[None])[0]
-    return field.jacobian(x)
-
-
-def vf_alpha(field: _SplineField) -> float:
-    return field.alpha()
-
 
 def vf_compose_displacement(field: _SplineField, disp: _SplineField) -> _SplineField:
     """Resample x -> field(x + disp(x)) onto field's grid."""
@@ -458,22 +427,46 @@ def save_field(field: _SplineField, path: str | Path, sidecar: bool = True):
 
 
 def load_field(path: str | Path) -> _SplineField:
+    """Read a CFLD file.  The header fixes the file size, which is checked
+    before any coefficient is read; a malformed file is a ValueError that
+    names it."""
     path = Path(path)
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(13)
+        if not _MAGIC.startswith(head[:4]):
             raise ValueError(f"{path} is not a field file")
-        kind, d, ncomp = struct.unpack("<BII", fh.read(9))
+        if len(head) < 13:
+            raise ValueError(f"{path}: truncated header ({size} bytes)")
+        kind, d, ncomp = struct.unpack("<BII", head[4:])
+        if kind not in (0, 1):
+            raise ValueError(f"{path}: unknown field kind {kind}")
+        if d < 1 or ncomp < 1:
+            raise ValueError(f"{path}: dimension {d} and components {ncomp} must be positive")
+        header = 13 + 12 * d + 12
+        if size < header:
+            raise ValueError(f"{path}: truncated header ({size} bytes, the header needs {header})")
         shape = struct.unpack(f"<{d}I", fh.read(4 * d))
         lo = np.array(struct.unpack(f"<{d}d", fh.read(8 * d)))
-        (h,) = struct.unpack("<d", fh.read(8))
-        (margin,) = struct.unpack("<I", fh.read(4))
-        n = int(np.prod(shape)) * ncomp
-        coeffs = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape + (ncomp,)).copy()
+        h, margin = struct.unpack("<dI", fh.read(12))
+        expected = header + 8 * math.prod(shape) * ncomp
+        if size != expected:
+            why = "truncated coefficients" if size < expected else "trailing bytes"
+            raise ValueError(f"{path}: {why} ({size} bytes; shape {list(shape)} x {ncomp} needs {expected})")
+        if not (np.all(np.isfinite(lo)) and np.isfinite(h) and h > 0):
+            raise ValueError(f"{path}: bad geometry lo={lo.tolist()}, h={h}")
+        coeffs = np.frombuffer(fh.read(), dtype="<f8").reshape(shape + (ncomp,)).copy()
     if not np.all(np.isfinite(coeffs)):
         raise ValueError(f"{path} holds non-finite coefficients")
-    if kind == 1:
-        return PeriodicField(coeffs)
-    return CompactField(lo, h, coeffs, margin)
+    try:
+        field = PeriodicField(coeffs) if kind == 1 else CompactField(lo, h, coeffs, margin)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    # a compact field is saved with its margin zeroed, so a margin that
+    # zeroes more than the file holds disagrees with the coefficients
+    if not np.array_equal(field.coeffs, coeffs):
+        raise ValueError(f"{path}: nonzero coefficients inside the zero margin of {margin} layers")
+    return field
 
 
 def save_manifest(fields, directory: str | Path, name: str, **keys) -> Path:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from evolflow.lp_space import LpSample, TimeGrid
+from evolflow.lp_space import GridError, LpSample, TimeGrid
 
 
 @pytest.fixture
@@ -16,3 +16,16 @@ def random_step_sample(rng, ncells=5, dim=2, p=1.0, a=0.0, b=1.0, scale=1.0):
     knots = np.unique(np.concatenate([[a], knots, [b]]))
     vals = scale * rng.normal(size=(knots.size - 1, dim))
     return LpSample(TimeGrid(knots), vals, p)
+
+
+def samples_equal(f: LpSample, g: LpSample, tol: float = 0.0) -> bool:
+    """Equality as L^p classes: agreement of common-refinement cell values."""
+    if f.dim != g.dim:
+        return False
+    try:
+        grid = f.grid.refine(g.grid)
+    except GridError:
+        return False
+    a = f.on_refinement(grid)
+    b = g.on_refinement(grid)
+    return bool(np.max(np.abs(a.values - b.values)) <= tol)

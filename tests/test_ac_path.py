@@ -18,8 +18,8 @@ from evolflow.ac_path import (
     ac_reparam,
     ac_superpose,
 )
-from evolflow.lp_space import GridError, LpSample, TimeGrid, euclidean, samples_equal
-from conftest import random_step_sample
+from evolflow.lp_space import GridError, LpSample, TimeGrid, euclidean
+from conftest import random_step_sample, samples_equal
 
 EUC = euclidean()
 
@@ -148,7 +148,8 @@ def test_reparam_endpoints_exact(rng):
 
 def test_superpose_identity(rng):
     path = random_path(rng)
-    out = ac_superpose(SmoothMap.identity(), path)
+    identity = SmoothMap(lambda x: x.copy(), lambda x: np.broadcast_to(np.eye(x.shape[1]), x.shape + x.shape[1:]).copy())
+    out = ac_superpose(identity, path)
     assert np.array_equal(out.start, path.start)
     assert samples_equal(out.density, path.density, tol=1e-14)
 
@@ -156,7 +157,7 @@ def test_superpose_identity(rng):
 def test_superpose_linear_exact(rng):
     A = np.array([[1.0, 2.0], [0.0, -1.0], [3.0, 3.0]])
     path = random_path(rng)
-    out = ac_superpose(SmoothMap.linear(A), path)
+    out = ac_superpose(SmoothMap(lambda x: x @ A.T, lambda x: np.broadcast_to(A, (len(x),) + A.shape).copy()), path)
     assert np.allclose(out.start, A @ path.start, atol=1e-14)
     assert samples_equal(out.density, LpSample(path.density.grid, path.density.values @ A.T, path.p), tol=1e-13)
 

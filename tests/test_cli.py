@@ -150,6 +150,56 @@ def test_bad_oracle_entry_is_a_config_error(tmp_path, capsys, key, value):
     assert not (out / "failure.json").exists()
 
 
+ZERO = {"kind": "zero", "grid": 12}
+
+
+UNKNOWN_KEY_CASES = [
+    ("evolve", {"velocity": ZERO, "residual_tolerence": 1e-30}, "residual_tolerence", "did you mean residual_tolerance?"),
+    ("evolve", {"velocity": ZERO, "orcale": {"seeds": 2}}, "orcale", "did you mean oracle?"),
+    ("evolve", {"velocity": ZERO, "oracle": {"seeds": 2, "tolerence": 1e-4}}, "oracle.tolerence",
+     "did you mean oracle.tolerance?"),
+    ("evolve", {"velocity": ZERO, "verbose": True}, "verbose", "known keys: velocity, oracle, residual_tolerance"),
+    ("torus-evolve", {"velocity": ZERO, "forced": 2}, "forced", "did you mean forced_n?"),
+    ("continuity-study", {"velocity": ZERO, "perturbation": ZERO, "final_treshold": 1e-3}, "final_treshold",
+     "did you mean final_threshold?"),
+    ("subdivision-study", {"velocity": ZERO, "n_value": [1, 2]}, "n_value", "did you mean n_values?"),
+    ("property-check", {"residual_bnd": 1e-5}, "residual_bnd", "did you mean residual_bound?"),
+]
+
+
+@pytest.mark.parametrize("command,cfg,key,hint", UNKNOWN_KEY_CASES, ids=[f"{c}-{k}" for c, _, k, _ in UNKNOWN_KEY_CASES])
+def test_unknown_config_key_is_a_config_error(tmp_path, capsys, command, cfg, key, hint):
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert f"unknown config key {key}; {hint}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("subdivision-study", "n_values", [0]), ("subdivision-study", "n_values", ["x"]),
+    ("subdivision-study", "n_values", 4), ("subdivision-study", "n_values", [2.7]),
+    ("subdivision-study", "n_values", []),
+    ("property-check", "grid", "abc"), ("property-check", "residual_bound", -1),
+    ("property-check", "seed", -1), ("property-check", "dim", 0),
+    ("property-check", "target_bound", float("nan")),
+])
+def test_bad_study_value_is_a_config_error(tmp_path, capsys, command, key, value):
+    out = tmp_path / "out"
+    cfg = {"velocity": ZERO} if command == "subdivision-study" else {}
+    cfg[key] = value
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_corrupt_manifest_field_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "v.cfld").write_bytes(b"CFLD\x00\x02")
+    (tmp_path / "v.json").write_text(json.dumps({"knots": [0.0, 1.0], "p": 2.0, "field_files": ["v.cfld"]}))
+    cfg = write_cfg(tmp_path, {"velocity": {"kind": "manifest", "path": str(tmp_path / "v.json")}})
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "v.cfld: truncated header" in capsys.readouterr().err
+
+
 def test_non_finite_velocity_fails_before_any_sweep(tmp_path, monkeypatch):
     sweeps = []
     march = evolution._picard_march

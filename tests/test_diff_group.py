@@ -1,5 +1,5 @@
 """Group operations in displacement coordinates: product, inverse, right
-translation, chart certification, paths, and the path distance."""
+translation, paths, and the path distance."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from evolflow.diff_group import (
     d_rho,
     group_path_distance,
     identity_like,
-    in_chart_check,
     inverse,
     load_group_path,
     save_group_path,
@@ -139,40 +138,6 @@ def test_d_rho_matches_pointwise(phi, psi, rng):
     moved = d_rho(psi, phi.disp)
     pts = rng.uniform(0.15, 0.85, size=(100, 2))
     assert np.max(np.abs(moved.eval(pts) - phi.disp.eval(psi.apply(pts)))) < 5e-4
-
-
-# -- chart certification -----------------------------------------------------
-
-def test_chart_small_alpha(phi):
-    diag = in_chart_check(phi.disp)
-    assert diag.ok and diag.alpha < 1.0 and diag.min_det > 0.0
-
-
-def test_chart_fold_rejected():
-    # this displacement folds the box over itself
-    fold = random_plateau_field(21, target_alpha=4.0)
-    diag = in_chart_check(fold.scaled(1.0))
-    assert not diag.ok
-
-
-def test_chart_fallback_certifies_steep_monotone():
-    # 1d displacement with a steep rise (alpha > 1) and a gentle descent:
-    # id + disp stays strictly increasing, so the fallback certifies it
-    grid = 257
-    h = 1.0 / (grid - 1)
-    from scipy.special import expit
-
-    def fn(pts):
-        x = pts[:, 0]
-        up = expit((x - 0.25) / 0.02)
-        down = expit((x - 0.45) / 0.15)
-        return (0.12 * (up - down) * plateau_weight(pts, (0.5,), 0.35, 0.48))[:, None]
-
-    f = CompactField.from_function(np.zeros(1), h, (grid,), fn, 1)
-    diag = in_chart_check(f)
-    assert diag.alpha > 1.0
-    assert diag.min_det > 0.0
-    assert diag.ok and diag.injective
 
 
 # -- paths -------------------------------------------------------------------

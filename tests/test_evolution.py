@@ -10,18 +10,16 @@ from evolflow.diff_group import d_rho, group_path_distance, identity_like, star
 from evolflow.evolution import (
     TimeVelocity,
     apply_T,
-    apply_along,
     choose_subdivision,
     continuity_probe,
     contraction_bound,
-    contraction_bounds,
     evolve,
     flow_point,
     local_evolve,
-    picard_point,
     picard_points,
     residual,
     rk4_points,
+    window_budgets,
 )
 from evolflow.instances import (
     random_smooth_torus_velocity,
@@ -31,7 +29,7 @@ from evolflow.instances import (
     translation_plateau_velocity,
     zero_velocity,
 )
-from evolflow.lp_space import TimeGrid
+from evolflow.lp_space import LpSample, TimeGrid, euclidean, lp_seminorm
 from evolflow.manifold_paths import evolve_torus
 
 
@@ -48,10 +46,12 @@ def rotation():
 # -- integral operator -------------------------------------------------------
 
 def test_apply_along_constant(rng):
+    # the integrand of T along a trace in the plateau is the constant velocity
     gamma = translation_plateau_velocity(v=(0.05, 0.02))
     trace = ContinuousTrace(TimeGrid.uniform(0.0, 1.0, 3), np.full((4, 2), 0.5))
-    sample = apply_along(gamma, trace)
-    assert np.max(np.abs(sample.values - np.array([0.05, 0.02]))) < 1e-7
+    out = apply_T(gamma, np.zeros(2), trace)
+    density = np.diff(out.values, axis=0) / out.grid.widths()[:, None]
+    assert np.max(np.abs(density - np.array([0.05, 0.02]))) < 1e-7
 
 
 def test_apply_T_zero_field(rng):
@@ -73,10 +73,12 @@ def test_apply_T_contraction_inequality(gamma, rng):
 
 
 def test_contraction_bounds_ordering(gamma):
-    b = contraction_bounds(gamma)
+    # the budget is the L^1 seminorm of t -> alpha(gamma(t))
+    alpha = LpSample(gamma.grid, gamma.alpha_values()[:, None], gamma.p)
+    l1, lp = lp_seminorm(alpha, euclidean(), p=1.0), lp_seminorm(alpha, euclidean())
     # Hoelder on the unit interval: the L^1 budget never exceeds the L^p one
-    assert b["l1"] <= b["lp"] + 1e-14
-    assert contraction_bound(gamma) == pytest.approx(b["l1"], rel=1e-12)
+    assert gamma.p > 1.0 and l1 <= lp + 1e-14
+    assert contraction_bound(gamma) == pytest.approx(l1, rel=1e-12)
 
 
 # -- point solver ------------------------------------------------------------
@@ -84,10 +86,8 @@ def test_contraction_bounds_ordering(gamma):
 def test_picard_zero_field_is_constant(rng):
     gamma = zero_velocity(cells=2)
     x = np.array([0.3, 0.7])
-    traj, diag = picard_point(gamma, x)
-    knots = np.linspace(0.0, 1.0, 9)
-    vals = np.array([traj.start + 0 for _ in knots])  # start; density is zero
-    assert np.all(traj.density.values == 0.0)
+    grid, zeta, g, diag = picard_points(gamma, x[None])
+    assert np.all(g == 0.0) and np.all(zeta == x)
     assert diag.contraction == 0.0
 
 
@@ -96,8 +96,8 @@ def test_picard_outside_support_is_constant(rotation):
     # budget; a scaled copy fits while keeping the same support
     small = rotation.scaled(0.3)
     x = np.array([1.2, -0.4])
-    traj, _ = picard_point(small, x)
-    assert np.all(traj.density.values == 0.0)
+    grid, zeta, g, _ = picard_points(small, x[None])
+    assert np.all(g == 0.0) and np.all(zeta == x)
 
 
 def test_evolve_matches_rigid_rotation(rotation):
@@ -346,14 +346,11 @@ def test_continuity_probe_zero_perturbation(gamma):
 # -- subdivision bookkeeping -------------------------------------------------
 
 def test_subdivision_budget_exact_for_constant_alpha(gamma):
-    total = contraction_bound(gamma)
-    from evolflow.evolution import _window_budget_max
-
     # equalize: same alpha in every cell by using one field throughout
     const = TimeVelocity(gamma.grid, [gamma.fields[0]] * gamma.grid.ncells, gamma.p)
     tot = contraction_bound(const)
     for n in [1, 2, 4, 8, 16]:
-        assert _window_budget_max(const, n) == pytest.approx(tot / n, rel=1e-12)
+        assert window_budgets(const, n) == pytest.approx(np.full(n, tot / n), rel=1e-12)
 
 
 def test_choose_subdivision_thresholds(gamma):

@@ -1,26 +1,39 @@
-"""Step-function L^p calculus: seminorms, weak integrals, subdivision."""
+"""Step-function L^p calculus: seminorms, weak integrals, and subdivision
+of a velocity curve's step function of cell budgets."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from evolflow.evolution import TimeVelocity, contraction_bound, window_budgets
 from evolflow.lp_space import (
     DimensionMismatchError,
     GridError,
     LpSample,
+    Seminorm,
     TimeGrid,
     ess_sup_seminorm,
     euclidean,
     lp_seminorm,
-    samples_equal,
-    subdivide,
-    sup_norm,
     weak_integral,
-    weighted,
 )
-from conftest import random_step_sample
+from evolflow.vector_field import CompactField
+from conftest import random_step_sample, samples_equal
 
 EUC = euclidean()
+
+#: a 1-d field whose alpha scales to any budget
+BUMP = CompactField(np.zeros(1), 0.25, np.array([[0.0], [0.0], [1.0], [0.0], [0.0]]))
+
+
+def weighted(w) -> Seminorm:
+    w = np.asarray(w, dtype=float)
+    return Seminorm("weighted", lambda v: np.abs(v) @ w, w.size)
+
+
+def budget_curve(f: LpSample) -> TimeVelocity:
+    """A velocity curve on f's grid whose cell field has alpha |f| per cell."""
+    return TimeVelocity(f.grid, [BUMP.scaled(a / BUMP.alpha()) for a in EUC(f.values)], f.p)
 
 
 def const_sample(c, p=1.0, ncells=1):
@@ -87,8 +100,8 @@ def test_seminorm_dimension_mismatch():
 def test_weighted_seminorm():
     q = weighted([2.0, 0.0])
     assert lp_seminorm(const_sample([3.0, 100.0]), q) == pytest.approx(6.0)
-    with pytest.raises(ValueError):
-        weighted([-1.0])
+    with pytest.raises(DimensionMismatchError):
+        lp_seminorm(const_sample([1.0, 2.0, 3.0]), q)
 
 
 # -- ess sup -----------------------------------------------------------------
@@ -134,53 +147,53 @@ def test_weak_integral_additive(seed, t):
 
 
 # -- subdivide ---------------------------------------------------------------
+# The subdivided step function is a velocity curve's alpha per cell, cut
+# into windows by TimeVelocity.subdivide (at the knots of
+# TimeGrid.subdivided) and, independently, by window_budgets.
 
 def test_subdivide_constant():
     c = np.array([2.0, -1.0])
-    g = subdivide(const_sample(c), 3, 1)
-    assert np.allclose(g.values, c / 3.0)
-    assert g.grid.a == 0.0 and g.grid.b == 1.0
+    sub = budget_curve(const_sample(c)).subdivide(3, 1)
+    assert sub.grid.a == 0.0 and sub.grid.b == 1.0
+    assert sub.alpha_values() == pytest.approx([np.linalg.norm(c) / 3.0], rel=1e-15)
 
 
 def test_subdivide_seminorm_change_of_variables(rng):
     f = random_step_sample(rng, ncells=6)
-    qvals = EUC(f.values)[:, None]
-    qf = LpSample(f.grid, qvals, 1.0)
+    gamma = budget_curve(f)
+    qf = LpSample(f.grid, gamma.alpha_values()[:, None], 1.0)
     n = 4
+    budgets = window_budgets(gamma, n)
     for k in range(n):
-        lhs = lp_seminorm(subdivide(f, n, k), EUC, p=1.0)
         rhs = weak_integral(qf, k / n, (k + 1) / n)[0]
-        assert lhs == pytest.approx(rhs, abs=1e-14)
+        assert contraction_bound(gamma.subdivide(n, k)) == pytest.approx(rhs, abs=1e-14)
+        assert budgets[k] == pytest.approx(rhs, abs=1e-14)
 
 
 def test_subdivide_decay_constant_exact():
-    c = np.array([0.7, -0.2])
-    f = const_sample(c)
-    total = lp_seminorm(f, EUC, p=1.0)
+    gamma = budget_curve(const_sample([0.7, -0.2]))
+    total = contraction_bound(gamma)
     for n in (1, 2, 4, 8, 16):
-        worst = max(lp_seminorm(subdivide(f, n, k), EUC, p=1.0) for k in range(n))
+        worst = max(contraction_bound(gamma.subdivide(n, k)) for k in range(n))
         assert worst == pytest.approx(total / n, rel=1e-13)
+        assert np.max(window_budgets(gamma, n)) == pytest.approx(total / n, rel=1e-13)
 
 
 def test_subdivide_errors():
-    f = const_sample([1.0])
+    g = TimeGrid.uniform(0.0, 1.0, 1)
     with pytest.raises(ValueError):
-        subdivide(f, 2, 2)
+        g.subdivided(2, 2)
     with pytest.raises(ValueError):
-        subdivide(f, 0, 0)
-    off = LpSample(TimeGrid(np.array([0.0, 2.0])), np.array([[1.0]]), 1.0)
+        g.subdivided(0, 0)
     with pytest.raises(GridError):
-        subdivide(off, 2, 0)
+        TimeGrid(np.array([0.0, 2.0])).subdivided(2, 0)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.sampled_from([1, 2, 4, 8]))
 def test_subdivide_decay_monotone(seed, n):
-    r = np.random.default_rng(seed)
-    f = random_step_sample(r)
-    worst_n = max(lp_seminorm(subdivide(f, n, k), EUC, p=1.0) for k in range(n))
-    worst_2n = max(lp_seminorm(subdivide(f, 2 * n, k), EUC, p=1.0) for k in range(2 * n))
-    assert worst_2n <= worst_n + 1e-13
+    gamma = budget_curve(random_step_sample(np.random.default_rng(seed)))
+    assert np.max(window_budgets(gamma, 2 * n)) <= np.max(window_budgets(gamma, n)) + 1e-13
 
 
 # -- invariants --------------------------------------------------------------
@@ -209,7 +222,7 @@ def test_seminorm_triangle_on_samples(rng):
     for _ in range(20):
         a = rng.normal(size=(8, 3))
         b = rng.normal(size=(8, 3))
-        for q in (EUC, sup_norm(), weighted([1.0, 0.5, 2.0])):
+        for q in (EUC, weighted([1.0, 0.5, 2.0])):
             assert np.all(q(a + b) <= q(a) + q(b) + 1e-12)
             assert np.allclose(q(-2.5 * a), 2.5 * q(a), atol=1e-12)
 
@@ -229,15 +242,6 @@ def test_samples_equal_as_classes():
     g = LpSample(TimeGrid.uniform(0.0, 1.0, 4), np.tile([1.0, 2.0], (4, 1)), 1.0)
     assert samples_equal(f, g)
     assert not samples_equal(f, g.scaled(1.0 + 1e-9))
-
-
-def test_json_roundtrip(rng):
-    f = random_step_sample(rng)
-    g = LpSample.loads(f.dumps())
-    assert samples_equal(f, g)
-    assert g.p == f.p
-    inf = LpSample(TimeGrid.uniform(0.0, 1.0, 2), np.ones((2, 1)), np.inf)
-    assert np.isinf(LpSample.loads(inf.dumps()).p)
 
 
 def test_sample_validation():

@@ -15,16 +15,11 @@ from evolflow.manifold_paths import (
     chart_psi_inv,
     circle_chart_from_point,
     circle_point_from_chart,
-    circle_transition,
     circle_transition_derivative,
-    const_path,
     evolve_torus,
     local_addition,
     point_eval,
     section_embed,
-    section_glue,
-    torus_path_merge,
-    torus_path_split,
     transition,
     wrap_diff,
     wrap_point,
@@ -82,22 +77,23 @@ def test_circle_chart_roundtrip(rng):
         assert np.max(np.abs(back - thetas)) < 1e-12
 
 
+def north_to_south(u):
+    """The chart change of the stereographic charts, through the point dictionary."""
+    return circle_chart_from_point("south", circle_point_from_chart("north", u))
+
+
 def test_circle_transition_closed_form(rng):
     u = rng.uniform(0.5, 3.0, size=15)
-    assert np.allclose(circle_transition("north", "south", u), 1.0 / u)
-    assert np.allclose(circle_transition("north", "north", u), u)
-    # cocycle: applying the transition twice is the identity
-    twice = circle_transition("south", "north", circle_transition("north", "south", u))
-    assert np.max(np.abs(twice - u)) < 1e-11
-    # consistency with the point dictionary
-    theta = circle_point_from_chart("north", u)
-    assert np.allclose(circle_chart_from_point("south", theta), 1.0 / u, atol=1e-12)
+    assert np.allclose(north_to_south(u), 1.0 / u, atol=1e-12)
+    # cocycle: changing chart and back is the identity
+    back = circle_chart_from_point("north", circle_point_from_chart("south", north_to_south(u)))
+    assert np.max(np.abs(back - u)) < 1e-11
 
 
 def test_circle_transition_derivative_fd():
     u = np.linspace(0.5, 3.0, 12)
     h = 1e-6
-    fd = (circle_transition("north", "south", u + h) - circle_transition("north", "south", u - h)) / (2 * h)
+    fd = (north_to_south(u + h) - north_to_south(u - h)) / (2 * h)
     assert np.max(np.abs(circle_transition_derivative("north", "south", u) - fd)) < 1e-6
 
 
@@ -163,9 +159,8 @@ def test_transition_moves_base_point(rng):
 def test_section_embed_torus_identity(rng):
     eta = random_torus_path(rng)
     sigma = small_section(rng, eta)
-    partition = eta.partition
-    pieces = section_embed(sigma, partition, ["torus"] * (partition.size - 1))
-    glued = section_glue(eta, pieces)
+    pieces = section_embed(sigma, [eta.a, eta.b], ["torus"])
+    glued = SectionTuple(eta, pieces)
     for (_, s1), (_, s2) in zip(glued.segments, sigma.segments):
         assert np.max(np.abs(ac_eval(s1, s1.a) - ac_eval(s2, s1.a))) < 1e-13
         mids = s1.density.grid.midpoints()
@@ -210,7 +205,7 @@ def test_circle_section_chart_change():
 def test_constant_path_and_point_eval(rng):
     q = np.array([0.3, 0.9])
     grid = TimeGrid.uniform(0.0, 1.0, 3)
-    eta = const_path(q, grid)
+    eta = ManifoldAcPath("torus", (("torus", AcPath.constant(q, grid)),))
     for t in [0.0, 0.5, 1.0]:
         assert np.allclose(point_eval(eta, t), q, atol=0.0)
     # evaluation commutes with the chart map at the zero section
@@ -231,17 +226,6 @@ def test_normalized_addition_fd(rng):
         la = local_addition("torus_2")
         fd = wrap_diff(la.sigma(p, h * v) - la.sigma(p, -h * v)) / (2.0 * h)
         assert np.max(np.abs(fd - v)) < 1e-6
-
-
-# -- split / merge -----------------------------------------------------------
-
-def test_split_merge_roundtrip(rng):
-    eta = random_torus_path(rng, dim=2)
-    e1, e2 = torus_path_split(eta, 1)
-    assert e1.segments[0][1].dim == 1 and e2.segments[0][1].dim == 1
-    merged = torus_path_merge(e1, e2)
-    for t in [0.0, 0.37, 1.0]:
-        assert np.allclose(point_eval(merged, t), point_eval(eta, t), atol=1e-15)
 
 
 # -- torus evolution ---------------------------------------------------------

@@ -1,22 +1,23 @@
 """Compactly supported and periodic spline fields: evaluation, Jacobians,
 the Lipschitz seminorm, composition, and the binary file format."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 from evolflow.instances import plateau_weight, random_plateau_field
 from evolflow.vector_field import (
+    ALPHA_SAFETY,
     CompactField,
     PeriodicField,
     load_field,
     resampling_estimate,
     save_field,
     spectral_norms,
-    vf_alpha,
     vf_compose_displacement,
-    vf_eval,
-    vf_jacobian,
 )
 
 
@@ -43,9 +44,9 @@ def random_field():
 def test_zero_field_everywhere(rng):
     z = CompactField.zero(np.zeros(2), 0.1, (12, 12), 2)
     pts = rng.uniform(-1.0, 2.0, size=(50, 2))
-    assert np.all(vf_eval(z, pts) == 0.0)
-    assert np.all(vf_jacobian(z, pts) == 0.0)
-    assert vf_alpha(z) == 0.0
+    assert np.all(z.eval(pts) == 0.0)
+    assert np.all(z.jacobian(pts) == 0.0)
+    assert z.alpha() == 0.0
 
 
 def test_outside_box_exact_zero(random_field, rng):
@@ -55,28 +56,28 @@ def test_outside_box_exact_zero(random_field, rng):
         rng.uniform(-2.0, -0.01, size=(20, 2)),
         np.array([[0.5, 1.7], [-0.3, 0.5]]),
     ])
-    assert np.all(vf_eval(f, outside) == 0.0)
-    assert np.all(vf_jacobian(f, outside) == 0.0)
+    assert np.all(f.eval(outside) == 0.0)
+    assert np.all(f.jacobian(outside) == 0.0)
 
 
 def test_plateau_reproduces_constant(plateau, rng):
     f, v = plateau
     pts = 0.5 + rng.uniform(-0.1, 0.1, size=(100, 2))
-    vals = vf_eval(f, pts)
+    vals = f.eval(pts)
     # interpolation of the taper rings slightly into the plateau core
     assert np.max(np.abs(vals - v)) < 1e-7
-    assert np.max(np.abs(vf_jacobian(f, pts))) < 1e-5
+    assert np.max(np.abs(f.jacobian(pts))) < 1e-5
 
 
 def test_jacobian_vs_finite_differences(random_field, rng):
     f = random_field
     pts = rng.uniform(0.2, 0.8, size=(40, 2))
-    jac = vf_jacobian(f, pts)
+    jac = f.jacobian(pts)
     h_fd = 1e-5
     for ax in range(2):
         dp = np.zeros(2)
         dp[ax] = h_fd
-        fd = (vf_eval(f, pts + dp) - vf_eval(f, pts - dp)) / (2.0 * h_fd)
+        fd = (f.eval(pts + dp) - f.eval(pts - dp)) / (2.0 * h_fd)
         assert np.max(np.abs(jac[:, :, ax] - fd)) < 1e-6
 
 
@@ -115,8 +116,8 @@ def test_eval_matches_scipy_spline(periodic, rng):
 
 def test_alpha_homogeneous(random_field):
     f = random_field
-    assert vf_alpha(f.scaled(2.0)) == pytest.approx(2.0 * vf_alpha(f), rel=1e-15)
-    assert vf_alpha(f.scaled(-0.5)) == pytest.approx(0.5 * vf_alpha(f), rel=1e-15)
+    assert f.scaled(2.0).alpha() == pytest.approx(2.0 * f.alpha(), rel=1e-15)
+    assert f.scaled(-0.5).alpha() == pytest.approx(0.5 * f.alpha(), rel=1e-15)
 
 
 def test_alpha_sine_wave_1d():
@@ -130,19 +131,19 @@ def test_alpha_sine_wave_1d():
 
     f = CompactField.from_function(np.array([-2.0]), h, (grid,), fn, 1)
     xs = np.linspace(-1.0, 1.0, 100_001)[:, None]
-    dense = np.max(np.abs((vf_eval(f, xs[1:]) - vf_eval(f, xs[:-1])) / (xs[1] - xs[0])))
-    # the declared bound carries a 1.05 safety factor over the lattice sup
-    assert vf_alpha(f) / 1.05 == pytest.approx(2.0 * np.pi, rel=0.02)
+    dense = np.max(np.abs((f.eval(xs[1:]) - f.eval(xs[:-1])) / (xs[1] - xs[0])))
+    # the declared bound carries a safety factor over the lattice sup
+    assert f.alpha() / ALPHA_SAFETY == pytest.approx(2.0 * np.pi, rel=0.02)
     assert dense == pytest.approx(2.0 * np.pi, rel=0.02)
-    assert vf_alpha(f) >= dense
+    assert f.alpha() >= dense
 
 
 def test_alpha_is_lipschitz_bound(random_field, rng):
     f = random_field
-    a = vf_alpha(f)
+    a = f.alpha()
     x = rng.uniform(0.0, 1.0, size=(200, 2))
     y = rng.uniform(0.0, 1.0, size=(200, 2))
-    lhs = np.linalg.norm(vf_eval(f, x) - vf_eval(f, y), axis=1)
+    lhs = np.linalg.norm(f.eval(x) - f.eval(y), axis=1)
     rhs = a * np.linalg.norm(x - y, axis=1)
     assert np.all(lhs <= rhs + 1e-12)
 
@@ -177,7 +178,7 @@ def test_compose_constant_plateau(plateau, rng):
     composed = vf_compose_displacement(f, disp)
     pts = 0.5 + rng.uniform(-0.1, 0.1, size=(50, 2))
     # constant composed with a small displacement stays constant on the core
-    assert np.max(np.abs(vf_eval(composed, pts) - v)) < 1e-8
+    assert np.max(np.abs(composed.eval(pts) - v)) < 1e-8
 
 
 def test_compose_zero_field(random_field):
@@ -221,7 +222,7 @@ def test_with_values_interpolates_interior_nodes(random_field):
 def test_with_values_matches_per_component_filter(periodic, ncomp, rng):
     # reference: scipy's n-d prefilter on each component alone
     if periodic:
-        f = PeriodicField.zero(2, 12, ncomp)
+        f = PeriodicField(np.zeros((12, 12, ncomp)))
     else:
         f = CompactField.zero(np.array([0.2, -0.1]), 0.1, (11, 9), ncomp)
     vals = rng.normal(size=f.shape + (ncomp,))
@@ -273,6 +274,63 @@ def test_load_field_rejects_non_finite_coefficients(tmp_path, rng):
     save_field(PeriodicField(coeffs), tmp_path / "bad.cfld")
     with pytest.raises(ValueError, match="bad.cfld"):
         load_field(tmp_path / "bad.cfld")
+
+
+@pytest.fixture(scope="module")
+def cfld_files(tmp_path_factory):
+    """A scratch directory and the bytes of a small 2-d field file of each kind."""
+    tmp = tmp_path_factory.mktemp("cfld")
+    rng = np.random.default_rng(5)
+    files = []
+    for f in (CompactField(np.zeros(2), 0.25, rng.normal(size=(6, 5, 2))), PeriodicField(rng.normal(size=(4, 4, 2)))):
+        save_field(f, tmp / "good.cfld", sidecar=False)
+        files.append((tmp / "good.cfld").read_bytes())
+    return tmp, files
+
+
+#: bytes of a 2-d header: magic, kind/dimension/components, shape, lo, h, margin
+HEADER_2D = 4 + 9 + 8 + 16 + 12
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_corrupt_field_file_is_a_value_error_naming_it(cfld_files, data):
+    tmp, files = cfld_files
+    good = data.draw(st.sampled_from(files))
+    how = data.draw(st.sampled_from(["truncate", "append", "flip"]))
+    if how == "truncate":
+        bad = good[:data.draw(st.integers(0, len(good) - 1))]
+    elif how == "append":
+        bad = good + data.draw(st.binary(min_size=1, max_size=64))
+    else:
+        bit = data.draw(st.integers(0, 8 * HEADER_2D - 1))
+        bad = bytearray(good)
+        bad[bit // 8] ^= 1 << (bit % 8)
+    path = tmp / "bad.cfld"
+    path.write_bytes(bytes(bad))
+    # a flip in lo, h or a periodic field's unused margin can leave a valid file
+    geometry_end = HEADER_2D if good is files[1] else HEADER_2D - 4
+    if how == "flip" and 8 * (4 + 9 + 8) <= bit < 8 * geometry_end:
+        try:
+            load_field(path)
+        except ValueError as exc:
+            assert "bad.cfld" in str(exc)
+    else:
+        with pytest.raises(ValueError, match="bad.cfld"):
+            load_field(path)
+
+
+@pytest.mark.parametrize("kind,shape,body,why", [
+    (7, (6, 6), 6 * 6 * 2 * 8, "unknown field kind 7"),
+    # 1.6e11 bytes of coefficients claimed: rejected before any is read
+    (0, (100000, 100000), 16, "truncated coefficients"),
+])
+def test_field_file_header_is_checked_before_the_coefficients(tmp_path, kind, shape, body, why):
+    head = b"CFLD" + struct.pack("<BII2I2ddI", kind, 2, 2, *shape, 0.0, 0.0, 0.1, 2)
+    path = tmp_path / "claims.cfld"
+    path.write_bytes(head + bytes(body))
+    with pytest.raises(ValueError, match=f"claims.cfld: {why}"):
+        load_field(path)
 
 
 def test_resampling_estimate_scales():
