@@ -75,7 +75,7 @@ def _velocities(cfg: dict, seed_override: int | None, key: str = "velocity"):
         if seed_override is not None:
             spec["seed"] = seed_override
         vel = instances.resolve_velocity(spec)
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError, ValueError, OSError) as exc:
         raise ConfigError(f"bad {key} spec: {exc}") from exc
     return vel if isinstance(vel, list) else [vel]
 
@@ -210,7 +210,7 @@ def _save_result(result, out: Path, name: str) -> None:
 
 
 def _render_ppm(result, out: Path, name: str, size: int = 400, lines: int = 12) -> None:
-    proto = result.path.density[0]
+    proto = result.path.stacked
     if proto.dimension != 2:
         return
     lo = proto.lo

@@ -19,7 +19,7 @@ import numpy as np
 from .lp_space import TimeGrid
 from .vector_field import (
     _SplineField, load_field, load_manifest, save_field, save_manifest, spectral_norms,
-    vf_compose_displacement,
+    stack_fields, vf_compose_displacement,
 )
 
 __all__ = [
@@ -85,40 +85,53 @@ def d_rho(psi: GroupElement, vf: _SplineField) -> _SplineField:
 
 @dataclass
 class GroupPath:
-    """An absolutely continuous path of group elements, started at identity.
+    """An absolutely continuous path of group elements: ``start`` plus the
+    integral of the density.
 
-    The density holds one field per time cell: the chart derivative of the
-    path.  Displacements at any time are exact linear combinations of the
-    density coefficients, so path evaluation introduces no extra resampling.
+    The density of a time cell is the chart derivative of the path on it.
+    All cells live in one field ``stacked`` of ``grid.ncells * d`` components
+    for spatial dimension d, cell i on components [i*d, (i+1)*d).  The start
+    defaults to the identity (zero displacement).  Displacements at any time
+    are exact linear combinations of the coefficients, so path evaluation
+    introduces no extra resampling.
     """
 
     grid: TimeGrid
-    density: list  # one _SplineField per cell
+    stacked: _SplineField
     start: _SplineField | None = None
     _cum: np.ndarray | None = dc_field(default=None, repr=False)
 
     def __post_init__(self):
-        if len(self.density) != self.grid.ncells:
-            raise ValueError("one density field per time cell required")
+        ncomp, d = self.stacked.ncomp, self.stacked.dimension
+        if ncomp != self.grid.ncells * d:
+            raise ValueError(f"the density needs {self.grid.ncells} cells of {d} components, got {ncomp} components")
         if self.start is None:
-            self.start = self.density[0].zero_like()
+            self.start = self.stacked.with_coeffs(np.zeros(self.stacked.shape + (d,)))
+
+    def _cells(self) -> np.ndarray:
+        """The density coefficients as a view of shape spatial + (ncells, d)."""
+        return self.stacked.coeffs.reshape(self.stacked.shape + (self.grid.ncells, -1))
+
+    @property
+    def density(self) -> list:
+        """The density of each time cell as a field of its own (a copy)."""
+        cells = self._cells()
+        return [self.stacked.with_coeffs(cells[..., i, :].copy()) for i in range(self.grid.ncells)]
 
     def _cumulative(self) -> np.ndarray:
+        """Displacement coefficients at the knots, spatial + (ncells + 1, d)."""
         if self._cum is None:
-            stack = np.stack([f.coeffs for f in self.density])
-            w = self.grid.widths()
-            steps = stack * w.reshape((-1,) + (1,) * (stack.ndim - 1))
-            cum = np.concatenate([np.zeros_like(stack[:1]), np.cumsum(steps, axis=0)])
-            self._cum = cum + self.start.coeffs
+            steps = self._cells() * self.grid.widths()[:, None]
+            cum = np.zeros(steps.shape[:-2] + (steps.shape[-2] + 1, steps.shape[-1]))
+            np.cumsum(steps, axis=-2, out=cum[..., 1:, :])
+            self._cum = cum + self.start.coeffs[..., None, :]
         return self._cum
 
     def field_at(self, t: float) -> _SplineField:
         """Displacement field of the path at time t (exact in coefficients)."""
         i = self.grid.cell_of(t)
-        cum = self._cumulative()
         partial = t - self.grid.knots[i]
-        coeffs = cum[i] + partial * self.density[i].coeffs
-        return self.density[0].with_coeffs(coeffs)
+        return self.stacked.with_coeffs(self._cumulative()[..., i, :] + partial * self._cells()[..., i, :])
 
     def element_at(self, t: float) -> GroupElement:
         return GroupElement(self.field_at(t))
@@ -128,11 +141,11 @@ class GroupPath:
 
     @staticmethod
     def neutral(proto: _SplineField, grid: TimeGrid) -> "GroupPath":
-        return GroupPath(grid, [proto.zero_like() for _ in range(grid.ncells)])
+        return GroupPath(grid, proto.with_coeffs(np.zeros(proto.shape + (grid.ncells * proto.dimension,))))
 
 
 def save_group_path(path: GroupPath, directory, name: str = "path"):
-    """Write the start and density fields plus a JSON manifest."""
+    """Write the start and one field file per density cell plus a JSON manifest."""
     start_file = f"{name}_start.cfld"
     manifest = save_manifest(
         path.density, directory, name, knots=path.grid.knots.tolist(), start_file=start_file
@@ -144,50 +157,46 @@ def save_group_path(path: GroupPath, directory, name: str = "path"):
 def load_group_path(manifest_path) -> GroupPath:
     obj, density = load_manifest(manifest_path)
     start = load_field(Path(manifest_path).parent / obj["start_file"])
-    return GroupPath(TimeGrid(np.asarray(obj["knots"])), density, start)
+    return GroupPath(TimeGrid(np.asarray(obj["knots"])), stack_fields(density), start)
 
 
-def _batched_cr_seminorms(pairs, div: int) -> np.ndarray:
-    """cr_seminorm of da - db for each (da, db) pair in one spline pass.
+def _batched_cr_norms(proto: _SplineField, coeffs: np.ndarray, div: int) -> np.ndarray:
+    """The C^r sup-seminorm sup |F| + sup ||DF||_op on a sampling lattice (no
+    safety factor) of each field F on proto's geometry with coefficients
+    coeffs[..., i, :].
 
-    All fields must share type and geometry; the per-pair difference
-    coefficients are stacked along the component axis so the lattice is
-    evaluated only once.
+    Fields are evaluated in chunks stacked along the component axis, so the
+    lattice is evaluated once per chunk.
     """
-    proto = pairs[0][0]
-    for da, db in pairs:
-        proto._check_geometry(da)
-        proto._check_geometry(db)
-    d = proto.dimension
+    count, d = coeffs.shape[-2:]
     pts = proto._lattice(div)
-    out = np.empty(len(pairs))
+    out = np.empty(count)
     chunk = max(1, 32 // d)
-    for k0 in range(0, len(pairs), chunk):
-        part = pairs[k0 : k0 + chunk]
-        stacked = np.concatenate([(da.coeffs - db.coeffs) for da, db in part], axis=-1)
-        big = proto.with_coeffs(stacked)
-        vals = big.eval(pts).reshape(len(pts), len(part), d)
-        jacs = big.jacobian(pts).reshape(len(pts), len(part), d, d)
-        sup_val = np.linalg.norm(vals, axis=2).max(axis=0)
-        sup_jac = spectral_norms(jacs).max(axis=0)
-        out[k0 : k0 + chunk] = sup_val + sup_jac
+    for k0 in range(0, count, chunk):
+        part = coeffs[..., k0 : k0 + chunk, :]
+        m = part.shape[-2]
+        big = proto.with_coeffs(part.reshape(proto.shape + (m * d,)))
+        vals = big.eval(pts).reshape(len(pts), m, d)
+        jacs = big.jacobian(pts).reshape(len(pts), m, d, d)
+        out[k0 : k0 + m] = np.linalg.norm(vals, axis=2).max(axis=0) + spectral_norms(jacs).max(axis=0)
     return out
 
 
 def group_path_distance(pa: GroupPath, pb: GroupPath, p: float = 1.0, div: int = 2) -> float:
     """C^r sup distance of the starts plus the L^p distance of the densities
     under the C^r sup-seminorm, on the common time refinement."""
+    pa.stacked._check_geometry(pb.stacked)
     grid = pa.grid.refine(pb.grid)
     mids = grid.midpoints()
-    w = grid.widths()
-    start_d = (pa.start - pb.start).cr_seminorm(div)
+    start_d = _batched_cr_norms(pa.start, (pa.start.coeffs - pb.start.coeffs)[..., None, :], div)[0]
     cells = list(zip(pa.grid.cell_of(mids).tolist(), pb.grid.cell_of(mids).tolist()))
     # dedupe: coarse cells repeat across the common refinement
     keys = list(dict.fromkeys(cells))
-    norms = dict(zip(keys, _batched_cr_seminorms([(pa.density[a], pb.density[b]) for a, b in keys], div)))
+    a, b = np.array(keys).T
+    norms = dict(zip(keys, _batched_cr_norms(pa.stacked, pa._cells()[..., a, :] - pb._cells()[..., b, :], div)))
     per_cell = np.array([norms[c] for c in cells])
     if np.isinf(p):
         dens_d = float(np.max(per_cell))
     else:
-        dens_d = float(np.sum(w * per_cell**p) ** (1.0 / p))
-    return start_d + dens_d
+        dens_d = float(np.sum(grid.widths() * per_cell**p) ** (1.0 / p))
+    return float(start_d) + dens_d

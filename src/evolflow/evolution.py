@@ -26,9 +26,7 @@ import numpy as np
 from .ac_path import ContinuousTrace
 from .diff_group import GroupPath, d_rho, group_path_distance, identity_like, star
 from .lp_space import GridError, TimeGrid
-from .vector_field import (
-    _SplineField, load_manifest, resampling_estimate, save_manifest, stack_fields, unstack_field,
-)
+from .vector_field import _SplineField, load_manifest, resampling_estimate, save_manifest
 from ._parallel import ordered_thread_map
 
 __all__ = [
@@ -67,6 +65,8 @@ class TimeVelocity:
     def __post_init__(self):
         if self.grid.a != 0.0 or self.grid.b != 1.0:
             raise GridError("velocity curves live on [0,1]")
+        if not self.p >= 1.0:
+            raise ValueError(f"the exponent p must be at least 1, got {self.p}")
         if len(self.fields) != self.grid.ncells:
             raise ValueError("one field per time cell required")
         for f in self.fields[1:]:
@@ -328,11 +328,14 @@ def local_evolve(
         path = GroupPath.neutral(proto, grid)
         diag = PicardDiagnostics(0, 0.0, 0.0, 0.0)
         return EvolutionResult(path, 1, [diag], gamma)
-    psi, g, iters, change = _picard_march(gamma, grid, cellmap, anchors, nodes, tol, max_iter)
-    shape = proto.shape + (proto.ncomp,)
-    density = [proto.with_values(g[c].reshape(shape)) for c in range(grid.ncells)]
-    path = GroupPath(grid, density)
-    res_est = max(resampling_estimate(g[c].reshape(shape), proto.h) for c in range(grid.ncells))
+    # the knot values are not needed, and the velocities only as node
+    # values of every cell side by side on the component axis: release
+    # both before the filter allocates the coefficients
+    g, iters, change = _picard_march(gamma, grid, cellmap, anchors, nodes, tol, max_iter)[1:]
+    values = np.moveaxis(g, 0, 1).reshape(proto.shape + (-1,))
+    del g
+    path = GroupPath(grid, proto.with_values(values))
+    res_est = resampling_estimate(values, proto.h)
     diag = PicardDiagnostics(iters, change, L, L / (1.0 - L) * change, res_est)
     return EvolutionResult(path, 1, [diag], gamma)
 
@@ -377,16 +380,18 @@ def evolve(
     right translation.
 
     Windows with the same mapped knots and the same source cells pose the
-    same problem bit for bit, so each distinct window is solved once.  The
-    density cells of a window are right-translated together, as one field
-    with their components side by side.
+    same problem bit for bit, so each distinct window is solved once.  Each
+    window k >= 1 is right-translated by the product A of the windows before
+    it with one ``d_rho`` of its whole stacked density; the density of every
+    window is scaled by n, and the windows are joined along the component
+    axis.
     """
     n = forced_n if forced_n is not None else choose_subdivision(gamma, L_max)
     if n == 1:
         return local_evolve(gamma, L_max, tol, max_iter, max_dt)
     A = identity_like(gamma.proto)
     knots = [0.0]
-    density: list[_SplineField] = []
+    parts = []
     segments = []
     solved: dict[tuple, EvolutionResult] = {}
     for k in range(n):
@@ -398,12 +403,12 @@ def evolve(
         segments.append(seg.segments[0])
         seg_knots = (seg.path.grid.knots + k) / n
         knots.extend(seg_knots[1:].tolist())
-        cells_k = seg.path.density
-        if k > 0:
-            cells_k = unstack_field(d_rho(A, stack_fields(cells_k)), gamma.dimension)
-        density.extend(D.scaled(float(n)) for D in cells_k)
+        parts.append((seg.path.stacked if k == 0 else d_rho(A, seg.path.stacked)).coeffs)
         A = star(seg.path.end(), A)
-    path = GroupPath(TimeGrid(np.asarray(knots)), density)
+    # scaled in place after the join: one copy of the whole density fewer
+    coeffs = np.concatenate(parts, axis=-1)
+    coeffs *= float(n)
+    path = GroupPath(TimeGrid(np.asarray(knots)), gamma.proto.with_coeffs(coeffs))
     return EvolutionResult(path, n, segments, gamma)
 
 
@@ -420,10 +425,9 @@ def residual(gamma: TimeVelocity, path: GroupPath) -> float:
     """Sup over knots and grid nodes of the integral-equation defect
     |eta - T(gamma, 0, eta)|, in displacements."""
     grid = gamma.grid.refine(path.grid)
-    nodes = path.density[0].nodes()
+    nodes = path.stacked.nodes()
     P, d = nodes.shape
-    # node values of every density cell in one sweep, via a stacked field
-    dens_vals = stack_fields(path.density).eval(nodes).reshape(P, path.grid.ncells, d)
+    dens_vals = path.stacked.eval(nodes).reshape(P, path.grid.ncells, d)
     start_vals = path.start.eval(nodes)
     steps = dens_vals * path.grid.widths()[None, :, None]
     path_knot_vals = np.concatenate(

@@ -23,7 +23,6 @@ __all__ = [
     "PeriodicField",
     "vf_compose_displacement",
     "stack_fields",
-    "unstack_field",
     "resampling_estimate",
     "spectral_norms",
     "save_field",
@@ -189,15 +188,16 @@ class _SplineField:
         return np.stack(cols, axis=2)
 
     def with_values(self, values: np.ndarray) -> "_SplineField":
-        """Interpolate node values on this geometry.
+        """Interpolate node values, with any number of components, on this
+        geometry.
 
         One 1-d filter pass per spatial axis covers every component, with
         the same per-line arithmetic as ``ndimage.spline_filter`` on each
         component alone.
         """
         values = np.asarray(values, dtype=float)
-        if values.shape != self.shape + (self.ncomp,):
-            raise ValueError("node values have the wrong shape")
+        if values.shape[:-1] != self.shape:
+            raise ValueError(f"node values of shape {values.shape} do not fit the grid {self.shape}")
         coeffs = np.empty_like(values)
         src = values
         for ax in range(self.dimension):
@@ -232,14 +232,6 @@ class _SplineField:
     def sup_seminorm(self, div: int = ALPHA_DIV) -> float:
         pts = self._lattice(div)
         return float(np.max(np.linalg.norm(self.eval(pts), axis=1)))
-
-    def cr_seminorm(self, div: int = 2) -> float:
-        """sup |F| + sup ||DF||_op on a sampling lattice (no safety factor)."""
-        pts = self._lattice(div)
-        return float(
-            np.max(np.linalg.norm(self.eval(pts), axis=1))
-            + np.max(spectral_norms(self.jacobian(pts)))
-        )
 
     # -- linear structure --------------------------------------------------
     def _check_geometry(self, other: "_SplineField"):
@@ -392,16 +384,10 @@ def stack_fields(fields) -> _SplineField:
     return fields[0].with_coeffs(np.concatenate([f.coeffs for f in fields], axis=-1))
 
 
-def unstack_field(stacked: _SplineField, ncomp: int) -> list:
-    """The fields of ``ncomp`` components each that ``stack_fields`` joined."""
-    parts = np.split(stacked.coeffs, stacked.ncomp // ncomp, axis=-1)
-    return [stacked.with_coeffs(c) for c in parts]
-
-
 # -- file format -----------------------------------------------------------
 
-def save_field(field: _SplineField, path: str | Path, sidecar: bool = True):
-    """Binary coefficients with a CFLD header plus a JSON metadata sidecar."""
+def save_field(field: _SplineField, path: str | Path):
+    """Binary coefficients behind a CFLD header that holds the geometry."""
     path = Path(path)
     kind = 1 if isinstance(field, PeriodicField) else 0
     d = field.dimension
@@ -413,17 +399,6 @@ def save_field(field: _SplineField, path: str | Path, sidecar: bool = True):
         fh.write(struct.pack("<d", field.h))
         fh.write(struct.pack("<I", getattr(field, "margin", 0)))
         fh.write(np.ascontiguousarray(field.coeffs, dtype="<f8").tobytes())
-    if sidecar:
-        meta = {
-            "kind": "periodic" if kind else "compact",
-            "dimension": d,
-            "ncomp": field.ncomp,
-            "shape": list(field.shape),
-            "lo": field.lo.tolist(),
-            "h": field.h,
-            "margin": getattr(field, "margin", 0),
-        }
-        Path(str(path) + ".json").write_text(json.dumps(meta, indent=2))
 
 
 def load_field(path: str | Path) -> _SplineField:
@@ -488,4 +463,7 @@ def load_manifest(path: str | Path) -> tuple[dict, list]:
     """The manifest's keys and its fields, in file-list order."""
     path = Path(path)
     obj = json.loads(path.read_text())
-    return obj, [load_field(path.parent / f) for f in obj["field_files"]]
+    files = obj.get("field_files") if isinstance(obj, dict) else None
+    if not (isinstance(files, list) and all(isinstance(f, str) for f in files)):
+        raise ValueError(f"{path}: a manifest is a JSON object whose field_files is a list of file names")
+    return obj, [load_field(path.parent / f) for f in files]

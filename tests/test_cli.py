@@ -10,6 +10,7 @@ import pytest
 from evolflow import evolution
 from evolflow.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 from evolflow.diff_group import load_group_path
+from evolflow.instances import zero_velocity
 
 
 def write_cfg(tmp_path, obj, name="cfg.json"):
@@ -198,6 +199,54 @@ def test_corrupt_manifest_field_is_a_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"velocity": {"kind": "manifest", "path": str(tmp_path / "v.json")}})
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert "v.cfld: truncated header" in capsys.readouterr().err
+
+
+MANIFEST_CASES = {
+    "missing_file": {"knots": [0.0, 1.0], "field_files": ["missing.cfld"]},
+    "directory": {"knots": [0.0, 1.0], "field_files": ["sub"]},
+    "string_field_files": {"knots": [0.0, 1.0], "field_files": "v_cell0000.cfld"},
+    "non_list_field_files": {"knots": [0.0, 1.0], "field_files": {"v_cell0000.cfld": 0}},
+    "non_object_manifest": ["v_cell0000.cfld"],
+    "knots_do_not_fit_cells": {"knots": [0.0, 0.5, 1.0], "field_files": ["v_cell0000.cfld"]},
+    "missing_manifest": None,
+}
+
+
+@pytest.mark.parametrize("case", MANIFEST_CASES)
+def test_bad_velocity_manifest_is_a_config_error(tmp_path, capsys, case):
+    # one valid field file, v_cell0000.cfld, next to the manifest under test
+    zero_velocity(grid=12).save(tmp_path, "v")
+    (tmp_path / "sub").mkdir()
+    manifest = tmp_path / "v.json"
+    if MANIFEST_CASES[case] is None:
+        manifest.unlink()
+    else:
+        manifest.write_text(json.dumps(MANIFEST_CASES[case]))
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {"velocity": {"kind": "manifest", "path": str(manifest)}})
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "bad velocity spec" in capsys.readouterr().err
+    assert not (out / "failure.json").exists()
+
+
+@pytest.mark.parametrize("p", [float("nan"), 0.5, -1.0, 0.0])
+@pytest.mark.parametrize("kind", ["random_smooth", "random_smooth_torus", "manifest"])
+def test_exponent_below_one_is_a_config_error(tmp_path, capsys, kind, p):
+    spec = {"kind": kind, "seed": 3, "grid": 12, "cells": 2, "target_bound": 0.3, "p": p}
+    if kind == "manifest":
+        zero_velocity(grid=12).save(tmp_path, "v")
+        manifest = tmp_path / "v.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "p": p}))
+        spec = {"kind": kind, "path": str(manifest)}
+    out = tmp_path / "out"
+    cfg = {"velocity": spec}
+    command = "evolve"
+    if kind == "random_smooth_torus":
+        command = "continuity-study"
+        cfg.update(perturbation={**spec, "target_bound": 0.01, "p": 2.0}, levels=3)
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "the exponent p must be at least 1" in capsys.readouterr().err
+    assert not (out / "failure.json").exists()
 
 
 def test_non_finite_velocity_fails_before_any_sweep(tmp_path, monkeypatch):

@@ -17,7 +17,7 @@ from evolflow.diff_group import (
 )
 from evolflow.instances import plateau_weight, random_plateau_field
 from evolflow.lp_space import TimeGrid
-from evolflow.vector_field import CompactField, resampling_estimate
+from evolflow.vector_field import CompactField, resampling_estimate, spectral_norms, stack_fields
 
 
 def plateau_translation_1d(a: float, grid: int = 129) -> GroupElement:
@@ -144,7 +144,7 @@ def test_d_rho_matches_pointwise(phi, psi, rng):
 
 def test_path_constant_density_is_linear(phi):
     grid = TimeGrid.uniform(0.0, 1.0, 4)
-    path = GroupPath(grid, [phi.disp] * 4)
+    path = GroupPath(grid, stack_fields([phi.disp] * 4))
     for t in [0.0, 0.3, 0.5, 0.77, 1.0]:
         assert np.max(np.abs(path.field_at(t).coeffs - t * phi.disp.coeffs)) < 1e-15
     assert np.array_equal(path.end().disp.coeffs, path.field_at(1.0).coeffs)
@@ -152,7 +152,7 @@ def test_path_constant_density_is_linear(phi):
 
 def test_path_piecewise_density(phi, psi):
     grid = TimeGrid(np.array([0.0, 0.5, 1.0]))
-    path = GroupPath(grid, [phi.disp, psi.disp])
+    path = GroupPath(grid, stack_fields([phi.disp, psi.disp]))
     expect = 0.5 * phi.disp.coeffs + 0.25 * psi.disp.coeffs
     assert np.max(np.abs(path.field_at(0.75).coeffs - expect)) < 1e-15
 
@@ -164,20 +164,31 @@ def test_neutral_path(phi):
 
 def test_path_save_load(tmp_path, phi, psi):
     grid = TimeGrid(np.array([0.0, 0.25, 1.0]))
-    path = GroupPath(grid, [phi.disp, psi.disp], start=phi.disp.scaled(0.1))
+    path = GroupPath(grid, stack_fields([phi.disp, psi.disp]), start=phi.disp.scaled(0.1))
     manifest = save_group_path(path, tmp_path, name="demo")
+    # one field file per density cell, and nothing else
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "demo.json", "demo_cell0000.cfld", "demo_cell0001.cfld", "demo_start.cfld",
+    ]
     back = load_group_path(manifest)
     assert np.array_equal(back.grid.knots, grid.knots)
     assert np.array_equal(back.start.coeffs, path.start.coeffs)
-    for f, g in zip(back.density, path.density):
+    assert np.array_equal(back.stacked.coeffs, path.stacked.coeffs)
+    for f, g in zip(back.density, [phi.disp, psi.disp]):
         assert np.array_equal(f.coeffs, g.coeffs)
 
 
 # -- path distance -----------------------------------------------------------
 
+def cr_seminorm(f, div: int = 2) -> float:
+    """Reference: sup |F| + sup ||DF||_op of one field on its sampling lattice."""
+    pts = f._lattice(div)
+    return float(np.max(np.linalg.norm(f.eval(pts), axis=1)) + np.max(spectral_norms(f.jacobian(pts))))
+
+
 def test_distance_zero_and_symmetry(phi, psi):
-    ga = GroupPath(TimeGrid.uniform(0.0, 1.0, 2), [phi.disp, psi.disp])
-    gb = GroupPath(TimeGrid.uniform(0.0, 1.0, 4), [psi.disp] * 4)
+    ga = GroupPath(TimeGrid.uniform(0.0, 1.0, 2), stack_fields([phi.disp, psi.disp]))
+    gb = GroupPath(TimeGrid.uniform(0.0, 1.0, 4), stack_fields([psi.disp] * 4))
     assert group_path_distance(ga, ga) == pytest.approx(0.0, abs=1e-14)
     dab = group_path_distance(ga, gb)
     assert dab > 0.0
@@ -185,21 +196,21 @@ def test_distance_zero_and_symmetry(phi, psi):
 
 
 def test_distance_matches_per_cell_definition(phi, psi, chi):
-    ga = GroupPath(TimeGrid(np.array([0.0, 0.3, 1.0])), [phi.disp, psi.disp])
-    gb = GroupPath(TimeGrid.uniform(0.0, 1.0, 2), [chi.disp, phi.disp])
+    ga = GroupPath(TimeGrid(np.array([0.0, 0.3, 1.0])), stack_fields([phi.disp, psi.disp]), start=psi.disp.scaled(0.2))
+    gb = GroupPath(TimeGrid.uniform(0.0, 1.0, 2), stack_fields([chi.disp, phi.disp]))
     got = group_path_distance(ga, gb, p=1.0)
     grid = ga.grid.refine(gb.grid)
-    expect = (ga.start - gb.start).cr_seminorm(2)
+    expect = cr_seminorm(ga.start - gb.start)
     for t, w in zip(grid.midpoints(), grid.widths()):
         da = ga.density[ga.grid.cell_of(t)]
         db = gb.density[gb.grid.cell_of(t)]
-        expect += w * (da - db).cr_seminorm(2)
+        expect += w * cr_seminorm(da - db)
     assert got == pytest.approx(expect, rel=1e-12, abs=1e-15)
 
 
 def test_distance_sup_variant_dominates(phi, psi, chi):
-    ga = GroupPath(TimeGrid.uniform(0.0, 1.0, 2), [phi.disp, psi.disp])
-    gb = GroupPath(TimeGrid.uniform(0.0, 1.0, 2), [chi.disp, chi.disp])
+    ga = GroupPath(TimeGrid.uniform(0.0, 1.0, 2), stack_fields([phi.disp, psi.disp]))
+    gb = GroupPath(TimeGrid.uniform(0.0, 1.0, 2), stack_fields([chi.disp, chi.disp]))
     d1 = group_path_distance(ga, gb, p=1.0)
     dinf = group_path_distance(ga, gb, p=np.inf)
     # on the unit interval the L^1 density distance is at most the sup one

@@ -31,6 +31,7 @@ from evolflow.instances import (
 )
 from evolflow.lp_space import LpSample, TimeGrid, euclidean, lp_seminorm
 from evolflow.manifold_paths import evolve_torus
+from evolflow.vector_field import stack_fields
 
 
 @pytest.fixture(scope="module")
@@ -278,7 +279,7 @@ def test_residual_of_solution_is_small(gamma):
     assert res.residual < 1e-3
     # a deliberately wrong path has a visibly larger defect
     bad = res.path
-    bad_scaled = type(bad)(bad.grid, [f.scaled(0.5) for f in bad.density], bad.start)
+    bad_scaled = type(bad)(bad.grid, stack_fields([f.scaled(0.5) for f in bad.density]), bad.start)
     assert residual(gamma, bad_scaled) > 10.0 * res.residual
 
 

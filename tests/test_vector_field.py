@@ -225,11 +225,26 @@ def test_with_values_matches_per_component_filter(periodic, ncomp, rng):
         f = PeriodicField(np.zeros((12, 12, ncomp)))
     else:
         f = CompactField.zero(np.array([0.2, -0.1]), 0.1, (11, 9), ncomp)
-    vals = rng.normal(size=f.shape + (ncomp,))
-    ref = np.empty_like(vals)
-    for c in range(ncomp):
-        ref[..., c] = ndimage.spline_filter(vals[..., c], order=3, mode="grid-" + f._MODE)
-    assert np.array_equal(f.with_values(vals).coeffs, f.with_coeffs(ref).coeffs)
+    # node values may hold any number of components, such as the 256 cells
+    # of 2 components that a path's density stacks
+    for nvals in (ncomp, 512):
+        vals = rng.normal(size=f.shape + (nvals,))
+        ref = np.empty_like(vals)
+        for c in range(nvals):
+            ref[..., c] = ndimage.spline_filter(vals[..., c], order=3, mode="grid-" + f._MODE)
+        g = f.with_values(vals)
+        assert g.ncomp == nvals
+        assert np.array_equal(g.coeffs, f.with_coeffs(ref).coeffs)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_with_values_rejects_wrong_spatial_shape(periodic):
+    f = PeriodicField(np.zeros((12, 12, 2))) if periodic else CompactField.zero(np.zeros(2), 0.1, (11, 9), 2)
+    n0, n1 = f.shape
+    # a wrong node count on either axis, a missing or an extra axis
+    for shape in [(n0 + 1, n1, 2), (n0, n1 - 1, 4), (n0, n1), (n0, n1, 1, 2)]:
+        with pytest.raises(ValueError, match="do not fit the grid"):
+            f.with_values(np.zeros(shape))
 
 
 # -- periodic fields ---------------------------------------------------------
@@ -283,7 +298,7 @@ def cfld_files(tmp_path_factory):
     rng = np.random.default_rng(5)
     files = []
     for f in (CompactField(np.zeros(2), 0.25, rng.normal(size=(6, 5, 2))), PeriodicField(rng.normal(size=(4, 4, 2)))):
-        save_field(f, tmp / "good.cfld", sidecar=False)
+        save_field(f, tmp / "good.cfld")
         files.append((tmp / "good.cfld").read_bytes())
     return tmp, files
 
