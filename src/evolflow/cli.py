@@ -35,6 +35,7 @@ from .evolution import (
     rk4_points,
     window_budgets,
 )
+from .vector_field import PeriodicField
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -173,11 +174,12 @@ def _solver_kwargs(cfg: dict) -> dict:
     return {key: cfg[key] for key in _SOLVER_KEYS if key in cfg}
 
 
-def _oracle_rows(case: int, gamma: TimeVelocity, result, oracle_cfg: dict, wrap: bool):
+def _oracle_rows(case: int, gamma: TimeVelocity, result, oracle_cfg: dict):
     seeds = oracle_cfg.get("seeds", 50)
     steps = oracle_cfg.get("steps", 4096)
     rng = np.random.default_rng(oracle_cfg.get("seed", 1234) + case)
     d = gamma.dimension
+    wrap = isinstance(gamma.proto, PeriodicField)
     if wrap:
         xs = rng.uniform(0.0, 1.0, size=(seeds, d))
     else:
@@ -237,20 +239,19 @@ def cmd_evolve(cfg: dict, out: Path, threads: int, seed: int | None, render: boo
     kw = _solver_kwargs(cfg)
     oracle_cfg = cfg.get("oracle")
     gammas = _velocities(cfg, seed)
-    evolver = evolve
-    if torus:
-        from .manifold_paths import evolve_torus as evolver  # noqa: F811
+    if torus and not all(isinstance(g.proto, PeriodicField) for g in gammas):
+        raise ConfigError("torus-evolve needs a periodic velocity, such as kind random_smooth_torus")
 
     def one(item):
         case, gamma = item
-        result = evolver(gamma, **kw)
+        result = evolve(gamma, **kw)
         rows = [
             [case, result.n, k, s.iterations, s.contraction, s.last_change, s.residual_bound, result.residual]
             for k, s in enumerate(result.segments)
         ]
         orows, omax = ([], 0.0)
         if oracle_cfg:
-            orows, omax = _oracle_rows(case, gamma, result, oracle_cfg, torus)
+            orows, omax = _oracle_rows(case, gamma, result, oracle_cfg)
         return rows, orows, omax, result
 
     outputs = ordered_thread_map(one, enumerate(gammas), threads)

@@ -12,15 +12,11 @@ with one spline resampling per product.  The same code drives the periodic
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
 
 import numpy as np
 
 from .lp_space import TimeGrid
-from .vector_field import (
-    _SplineField, load_field, load_manifest, save_field, save_manifest, spectral_norms,
-    stack_fields, vf_compose_displacement,
-)
+from .vector_field import _SplineField, load_manifest, save_manifest, spectral_norms, vf_compose_displacement
 
 __all__ = [
     "GroupElement",
@@ -91,7 +87,8 @@ class GroupPath:
     The density of a time cell is the chart derivative of the path on it.
     All cells live in one field ``stacked`` of ``grid.ncells * d`` components
     for spatial dimension d, cell i on components [i*d, (i+1)*d).  The start
-    defaults to the identity (zero displacement).  Displacements at any time
+    is a field of d components on the geometry of ``stacked``; it defaults
+    to the identity (zero displacement).  Displacements at any time
     are exact linear combinations of the coefficients, so path evaluation
     introduces no extra resampling.
     """
@@ -107,6 +104,12 @@ class GroupPath:
             raise ValueError(f"the density needs {self.grid.ncells} cells of {d} components, got {ncomp} components")
         if self.start is None:
             self.start = self.stacked.with_coeffs(np.zeros(self.stacked.shape + (d,)))
+        try:
+            self.stacked._check_geometry(self.start)
+        except ValueError as exc:
+            raise ValueError(f"the start does not fit the density: {exc}") from None
+        if self.start.ncomp != d:
+            raise ValueError(f"the start needs the {d} components of one density cell, got {self.start.ncomp}")
 
     def _cells(self) -> np.ndarray:
         """The density coefficients as a view of shape spatial + (ncells, d)."""
@@ -145,19 +148,23 @@ class GroupPath:
 
 
 def save_group_path(path: GroupPath, directory, name: str = "path"):
-    """Write the start and one field file per density cell plus a JSON manifest."""
-    start_file = f"{name}_start.cfld"
-    manifest = save_manifest(
-        path.density, directory, name, knots=path.grid.knots.tolist(), start_file=start_file
-    )
-    save_field(path.start, manifest.parent / start_file)
-    return manifest
+    """Write the path as it is held: ``<name>_start.cfld``, the stacked
+    density ``<name>_density.cfld`` (cell i on components [i*d, (i+1)*d))
+    and the ``<name>.json`` manifest with the knots."""
+    fields = {"start": path.start, "density": path.stacked}
+    return save_manifest(fields, directory, name, knots=path.grid.knots.tolist())
 
 
 def load_group_path(manifest_path) -> GroupPath:
-    obj, density = load_manifest(manifest_path)
-    start = load_field(Path(manifest_path).parent / obj["start_file"])
-    return GroupPath(TimeGrid(np.asarray(obj["knots"])), stack_fields(density), start)
+    """Read what save_group_path wrote; another manifest is a ValueError naming it."""
+    obj, fields = load_manifest(manifest_path)
+    if len(fields) != 2:
+        raise ValueError(f"{manifest_path}: a group path lists a start and a density file, got {len(fields)} files")
+    start, stacked = fields
+    try:
+        return GroupPath(TimeGrid(np.asarray(obj["knots"])), stacked, start)
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from exc
 
 
 def _batched_cr_norms(proto: _SplineField, coeffs: np.ndarray, div: int) -> np.ndarray:

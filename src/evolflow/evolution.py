@@ -131,13 +131,17 @@ class TimeVelocity:
     # -- manifest ----------------------------------------------------------
     def save(self, directory: str | Path, name: str = "velocity") -> Path:
         p = None if np.isinf(self.p) else self.p
-        return save_manifest(self.fields, directory, name, p=p, knots=self.grid.knots.tolist())
+        fields = {f"cell{i:04d}": f for i, f in enumerate(self.fields)}
+        return save_manifest(fields, directory, name, p=p, knots=self.grid.knots.tolist())
 
     @staticmethod
     def load(manifest_path: str | Path) -> "TimeVelocity":
         obj, fields = load_manifest(manifest_path)
-        p = np.inf if obj.get("p") is None else float(obj["p"])
-        return TimeVelocity(TimeGrid(np.asarray(obj["knots"])), fields, p)
+        try:
+            p = np.inf if obj.get("p") is None else float(obj["p"])
+            return TimeVelocity(TimeGrid(np.asarray(obj["knots"])), fields, p)
+        except ValueError as exc:
+            raise ValueError(f"{manifest_path}: {exc}") from exc
 
 
 @dataclass

@@ -22,7 +22,6 @@ __all__ = [
     "CompactField",
     "PeriodicField",
     "vf_compose_displacement",
-    "stack_fields",
     "resampling_estimate",
     "spectral_norms",
     "save_field",
@@ -241,7 +240,10 @@ class _SplineField:
             or not np.array_equal(self.lo, other.lo)
             or self.h != other.h
         ):
-            raise ValueError("fields live on different grids")
+            raise ValueError(f"fields live on different grids: {self._geometry()} and {other._geometry()}")
+
+    def _geometry(self) -> str:
+        return f"{type(self).__name__} of shape {self.shape}, lo {self.lo.tolist()}, h {self.h}"
 
     def __add__(self, other: "_SplineField") -> "_SplineField":
         self._check_geometry(other)
@@ -378,12 +380,6 @@ def vf_compose_displacement(field: _SplineField, disp: _SplineField) -> _SplineF
     return field.with_values(vals.reshape(field.shape + (field.ncomp,)))
 
 
-def stack_fields(fields) -> _SplineField:
-    """Fields of one geometry as one field, their components side by side,
-    so that one eval or one resampling serves them all."""
-    return fields[0].with_coeffs(np.concatenate([f.coeffs for f in fields], axis=-1))
-
-
 # -- file format -----------------------------------------------------------
 
 def save_field(field: _SplineField, path: str | Path):
@@ -444,14 +440,14 @@ def load_field(path: str | Path) -> _SplineField:
     return field
 
 
-def save_manifest(fields, directory: str | Path, name: str, **keys) -> Path:
-    """Write fields as ``<name>_cellNNNN.cfld`` plus a ``<name>.json``
-    manifest holding ``keys`` and the file list under "field_files"."""
+def save_manifest(fields: dict, directory: str | Path, name: str, **keys) -> Path:
+    """Write each field of a dict keyed by file suffix as ``<name>_<key>.cfld``
+    plus a ``<name>.json`` manifest holding ``keys`` and the file list."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     files = []
-    for i, f in enumerate(fields):
-        fname = f"{name}_cell{i:04d}.cfld"
+    for key, f in fields.items():
+        fname = f"{name}_{key}.cfld"
         save_field(f, directory / fname)
         files.append(fname)
     path = directory / f"{name}.json"
@@ -466,4 +462,6 @@ def load_manifest(path: str | Path) -> tuple[dict, list]:
     files = obj.get("field_files") if isinstance(obj, dict) else None
     if not (isinstance(files, list) and all(isinstance(f, str) for f in files)):
         raise ValueError(f"{path}: a manifest is a JSON object whose field_files is a list of file names")
+    if not (isinstance(obj.get("knots"), list) and all(type(k) in (int, float) for k in obj["knots"])):
+        raise ValueError(f"{path}: knots must be a list of numbers, got {obj.get('knots')!r}")
     return obj, [load_field(path.parent / f) for f in files]

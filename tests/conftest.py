@@ -29,3 +29,9 @@ def samples_equal(f: LpSample, g: LpSample, tol: float = 0.0) -> bool:
     a = f.on_refinement(grid)
     b = g.on_refinement(grid)
     return bool(np.max(np.abs(a.values - b.values)) <= tol)
+
+
+def stack_fields(fields):
+    """Fields of one geometry as one field, their components side by side:
+    the stacked density of a group path with one field per cell."""
+    return fields[0].with_coeffs(np.concatenate([f.coeffs for f in fields], axis=-1))

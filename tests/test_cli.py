@@ -10,7 +10,7 @@ import pytest
 from evolflow import evolution
 from evolflow.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 from evolflow.diff_group import load_group_path
-from evolflow.instances import zero_velocity
+from evolflow.instances import resolve_velocity, zero_velocity
 
 
 def write_cfg(tmp_path, obj, name="cfg.json"):
@@ -209,6 +209,9 @@ MANIFEST_CASES = {
     "non_object_manifest": ["v_cell0000.cfld"],
     "knots_do_not_fit_cells": {"knots": [0.0, 0.5, 1.0], "field_files": ["v_cell0000.cfld"]},
     "missing_manifest": None,
+    "missing_knots": {"field_files": ["v_cell0000.cfld"]},
+    "string_knots": {"knots": "0 1", "field_files": ["v_cell0000.cfld"]},
+    "non_numeric_knots": {"knots": [0.0, "1"], "field_files": ["v_cell0000.cfld"]},
 }
 
 
@@ -225,7 +228,11 @@ def test_bad_velocity_manifest_is_a_config_error(tmp_path, capsys, case):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, {"velocity": {"kind": "manifest", "path": str(manifest)}})
     assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert "bad velocity spec" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad velocity spec" in err
+    # the file at fault is named: a field file that cannot be read, else the manifest
+    named = {"missing_file": tmp_path / "missing.cfld", "directory": tmp_path / "sub"}.get(case, manifest)
+    assert str(named) in err
     assert not (out / "failure.json").exists()
 
 
@@ -272,6 +279,39 @@ def test_torus_evolve(tmp_path):
     assert main(["torus-evolve", "--config", cfg, "--out", str(out)]) == EXIT_OK
     rows = read_csv(out / "oracle.csv")
     assert max(float(r["error"]) for r in rows) < 1e-3
+
+
+@pytest.mark.parametrize("command,kind,code", [
+    # the oracle wraps its errors on the torus by the velocity's geometry
+    ("evolve", "random_smooth_torus", EXIT_OK),
+    ("torus-evolve", "random_smooth", EXIT_CONFIG),
+])
+def test_evolve_commands_take_the_geometry_of_the_velocity(tmp_path, capsys, command, kind, code):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {
+        "velocity": {"kind": kind, "seed": 5, "grid": 16, "cells": 2, "target_bound": 0.3},
+        "oracle": {"seeds": 4, "steps": 512, "tolerance": 1e-3},
+    })
+    assert main([command, "--config", cfg, "--out", str(out)]) == code
+    assert not (out / "failure.json").exists()
+    if code == EXIT_CONFIG:
+        assert "torus-evolve needs a periodic velocity" in capsys.readouterr().err
+        assert not (out / "residuals.csv").exists()
+    else:
+        assert max(float(r["error"]) for r in read_csv(out / "oracle.csv")) < 1e-3
+
+
+def test_evolve_saves_the_path_it_computed(tmp_path):
+    spec = {"kind": "random_smooth", "seed": 7, "grid": 16, "cells": 2, "target_bound": 0.3}
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", write_cfg(tmp_path, {"velocity": spec}), "--out", str(out)]) == EXIT_OK
+    pdir = out / "result_000_path"
+    assert sorted(f.name for f in pdir.iterdir()) == ["path.json", "path_density.cfld", "path_start.cfld"]
+    back = load_group_path(out / json.loads((out / "result_000.json").read_text())["path"])
+    ref = evolution.evolve(resolve_velocity(spec)).path
+    assert np.array_equal(back.grid.knots, ref.grid.knots)
+    assert np.array_equal(back.start.coeffs, ref.start.coeffs)
+    assert np.array_equal(back.stacked.coeffs, ref.stacked.coeffs)
 
 
 def test_subdivision_study_budget_identity(tmp_path):

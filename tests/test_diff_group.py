@@ -1,6 +1,8 @@
 """Group operations in displacement coordinates: product, inverse, right
 translation, paths, and the path distance."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,8 @@ from evolflow.diff_group import (
 )
 from evolflow.instances import plateau_weight, random_plateau_field
 from evolflow.lp_space import TimeGrid
-from evolflow.vector_field import CompactField, resampling_estimate, spectral_norms, stack_fields
+from evolflow.vector_field import CompactField, PeriodicField, resampling_estimate, save_field, spectral_norms
+from conftest import stack_fields
 
 
 def plateau_translation_1d(a: float, grid: int = 129) -> GroupElement:
@@ -162,20 +165,65 @@ def test_neutral_path(phi):
     assert path.field_at(0.6).sup_seminorm() == 0.0
 
 
+def test_path_rejects_a_start_that_does_not_fit_the_density(phi, psi):
+    dens = stack_fields([phi.disp, psi.disp])
+    grid = TimeGrid(np.array([0.0, 0.5, 1.0]))
+    d = phi.disp
+    starts = {
+        "other h": CompactField(d.lo, 0.5 * d.h, d.coeffs),
+        "periodic": PeriodicField(np.zeros(d.shape + (2,))),
+        "three components": d.with_coeffs(np.zeros(d.shape + (3,))),
+    }
+    for what, start in starts.items():
+        with pytest.raises(ValueError, match="the start") as info:
+            GroupPath(grid, dens, start=start)
+        if what == "three components":
+            assert "the 2 components of one density cell, got 3" in str(info.value)
+        else:
+            # both geometries are named
+            assert str(d.shape) in str(info.value) and type(start).__name__ in str(info.value)
+
+
 def test_path_save_load(tmp_path, phi, psi):
     grid = TimeGrid(np.array([0.0, 0.25, 1.0]))
     path = GroupPath(grid, stack_fields([phi.disp, psi.disp]), start=phi.disp.scaled(0.1))
     manifest = save_group_path(path, tmp_path, name="demo")
-    # one field file per density cell, and nothing else
-    assert sorted(f.name for f in tmp_path.iterdir()) == [
-        "demo.json", "demo_cell0000.cfld", "demo_cell0001.cfld", "demo_start.cfld",
-    ]
+    # the path as it is held: the start and the stacked density, and nothing else
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["demo.json", "demo_density.cfld", "demo_start.cfld"]
+    assert json.loads(manifest.read_text()) == {
+        "knots": grid.knots.tolist(), "field_files": ["demo_start.cfld", "demo_density.cfld"],
+    }
     back = load_group_path(manifest)
     assert np.array_equal(back.grid.knots, grid.knots)
     assert np.array_equal(back.start.coeffs, path.start.coeffs)
     assert np.array_equal(back.stacked.coeffs, path.stacked.coeffs)
     for f, g in zip(back.density, [phi.disp, psi.disp]):
         assert np.array_equal(f.coeffs, g.coeffs)
+
+
+def test_load_group_path_rejects_other_manifests(tmp_path, phi, psi):
+    grid = TimeGrid(np.array([0.0, 0.25, 1.0]))
+    manifest = save_group_path(GroupPath(grid, stack_fields([phi.disp, psi.disp])), tmp_path, name="demo")
+    good = json.loads(manifest.read_text())
+    save_field(phi.disp, tmp_path / "demo_cell0000.cfld")
+    save_field(psi.disp, tmp_path / "demo_cell0001.cfld")
+    save_field(CompactField(phi.disp.lo, 0.5 * phi.disp.h, phi.disp.coeffs), tmp_path / "other_start.cfld")
+    cases = {
+        "wrong count": ({**good, "field_files": good["field_files"] + ["demo_start.cfld"]}, "got 3 files"),
+        "start of another geometry": (
+            {**good, "field_files": ["other_start.cfld", "demo_density.cfld"]}, "does not fit the density"
+        ),
+        # the former layout: one file per density cell and a separate start_file key
+        "per-cell": (
+            {**good, "field_files": ["demo_cell0000.cfld", "demo_cell0001.cfld"], "start_file": "demo_start.cfld"},
+            "the density needs 2 cells",
+        ),
+    }
+    for obj, why in cases.values():
+        manifest.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match="demo.json") as info:
+            load_group_path(manifest)
+        assert why in str(info.value)
 
 
 # -- path distance -----------------------------------------------------------

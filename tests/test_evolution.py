@@ -31,7 +31,7 @@ from evolflow.instances import (
 )
 from evolflow.lp_space import LpSample, TimeGrid, euclidean, lp_seminorm
 from evolflow.manifold_paths import evolve_torus
-from evolflow.vector_field import stack_fields
+from conftest import stack_fields
 
 
 @pytest.fixture(scope="module")
