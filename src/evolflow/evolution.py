@@ -8,8 +8,11 @@ contraction ball the path is the Banach fixed point of the integral operator
 
 solved for every node of the displacement grid at once.  On a refined time
 grid the discrete T is the implicit midpoint rule, a system lower triangular
-in time, so it is marched: T is iterated on one block of cells at a time,
-each block starting from the end of the one before.  One application of T
+in time, so it is marched: T is iterated on one block of cells at a time.
+Each block starts from the end of the one before, extrapolated with the
+polynomial through the previous block's midpoint velocities that read the
+same velocity cell, as in the predictor of a predictor-corrector method;
+only the start changes, not the fixed point.  One application of T
 over the whole grid then returns T(zeta) and certifies it: its distance to
 the fixed point is at most L/(1-L) * max |T(zeta) - zeta|.  Velocities with a
 large contraction budget are split into n rescaled segments, each solved
@@ -216,6 +219,28 @@ def _check_budget(L: float, bound: float, remedy: str) -> None:
 
 # -- point solver ----------------------------------------------------------
 
+def _predict(mids, w, cellmap, lo, hi, g):
+    """Start of the block of cells [lo, hi) relative to its first knot.
+
+    ``g`` holds the midpoint velocities of the cells just before ``lo``.
+    Those at the end of it that read the same velocity cell as cell ``lo``
+    (at least the last one) define a Lagrange polynomial in time; its values
+    at the block's midpoints are summed with the cell widths.  So the start
+    is exact for a velocity polynomial of degree below that count, and it is
+    ``g[-1]`` held constant where the velocity jumps at ``lo``.
+    """
+    k = 0
+    while k < len(g) and cellmap[lo - 1 - k] == cellmap[lo]:
+        k += 1
+    k = max(k, 1)
+    x, y = mids[lo - k:lo], mids[lo:hi]
+    weights = np.empty((hi - lo, k))
+    for j in range(k):
+        others = np.delete(x, j)
+        weights[:, j] = np.prod((y[:, None] - others) / (x[j] - others), axis=1)
+    return np.cumsum(w[lo:hi, None, None] * np.tensordot(weights, g[-k:], axes=1), axis=0)
+
+
 def _picard_march(gamma, grid, cellmap, anchors, offsets, tol, max_iter):
     """The discrete fixed point of `_T`, marched in time, and its certificate.
 
@@ -223,23 +248,24 @@ def _picard_march(gamma, grid, cellmap, anchors, offsets, tol, max_iter):
     are added before field evaluation (0.0 for point trajectories, the grid
     nodes (S, d) for field-valued solves working in displacements).
 
-    Each block of `MARCH_BLOCK` cells starts from the end of the previous
-    one, predicted with its last midpoint velocity, and iterates `_T` on its
-    own knots until the change falls below ``tol``.  Returns T(zeta) over
-    the whole grid, its midpoint velocities, the cell evaluations in
-    whole-grid sweeps (rounded up, this last one included) and the
-    certificate change max |T(zeta) - zeta|.
+    Each block of `MARCH_BLOCK` cells iterates `_T` on its own knots until
+    the change falls below ``tol``.  The first block starts from the
+    constant path; each later one from the end of the previous block plus
+    the integrals of the previous block's velocities extrapolated in time
+    (`_predict`).  Returns T(zeta) over the whole grid, its midpoint
+    velocities, the cell evaluations in whole-grid sweeps (rounded up, this
+    last one included) and the certificate change max |T(zeta) - zeta|.
     """
     w = grid.widths()
+    mids = grid.midpoints()
     ncells = w.size
     zeta = np.empty((ncells + 1,) + anchors.shape)
     zeta[0] = anchors
-    velocity = np.zeros_like(anchors)
     evaluations = 0
     for lo in range(0, ncells, MARCH_BLOCK):
         hi = min(lo + MARCH_BLOCK, ncells)
         block = zeta[lo:hi + 1]
-        block[1:] = block[0] + (grid.knots[lo + 1:hi + 1] - grid.knots[lo])[:, None, None] * velocity
+        block[1:] = block[0] if lo == 0 else block[0] + _predict(mids, w, cellmap, lo, hi, g)
         change = np.inf
         stalled = 0
         for it in range(1, max_iter + 1):
@@ -258,7 +284,6 @@ def _picard_march(gamma, grid, cellmap, anchors, offsets, tol, max_iter):
                 f"Picard iteration {why}, at iteration {it} of the block of refined cells [{lo}, {hi}) "
                 f"(t in [{grid.knots[lo]:.6g}, {grid.knots[hi]:.6g}]; last change {change:.3g}, tol={tol})"
             )
-        velocity = g[-1]
     new, g = _T(gamma, cellmap, w, anchors, offsets, zeta)
     certificate = float(np.max(np.abs(new - zeta)))
     return new, g, -(-(evaluations + ncells) // ncells), certificate

@@ -235,5 +235,11 @@ def resolve_velocity(spec: dict):
     if kind == "constant_torus":
         return constant_torus_velocity(**spec)
     if kind == "manifest":
+        # seed is written into every spec by --seed; a manifest has no use for it
+        unknown = sorted(set(spec) - {"path", "seed"})
+        if unknown:
+            raise ValueError(f"velocity kind 'manifest' takes only a 'path' entry, not {unknown}")
+        if "path" not in spec:
+            raise ValueError("velocity kind 'manifest' needs a 'path' entry")
         return TimeVelocity.load(spec["path"])
     raise ValueError(f"unknown velocity kind {kind!r}")

@@ -236,6 +236,27 @@ def test_bad_velocity_manifest_is_a_config_error(tmp_path, capsys, case):
     assert not (out / "failure.json").exists()
 
 
+@pytest.mark.parametrize("case", ["unknown_key", "missing_path"])
+def test_bad_manifest_velocity_spec_is_a_config_error(tmp_path, capsys, case):
+    zero_velocity(grid=12).save(tmp_path, "v")
+    spec = {"kind": "manifest", "path": str(tmp_path / "v.json"), "grid": 24}
+    if case == "missing_path":
+        del spec["path"], spec["grid"]
+    out = tmp_path / "out"
+    # --seed writes a seed into the spec, which the manifest kind accepts
+    argv = ["evolve", "--config", write_cfg(tmp_path, {"velocity": spec}), "--out", str(out), "--seed", "3"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert ("not ['grid']" if case == "unknown_key" else "needs a 'path' entry") in err
+    assert not (out / "failure.json").exists()
+
+
+def test_manifest_velocity_accepts_a_seed(tmp_path):
+    zero_velocity(grid=12).save(tmp_path, "v")
+    cfg = write_cfg(tmp_path, {"velocity": {"kind": "manifest", "path": str(tmp_path / "v.json"), "seed": 5}})
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "3"]) == EXIT_OK
+
+
 @pytest.mark.parametrize("p", [float("nan"), 0.5, -1.0, 0.0])
 @pytest.mark.parametrize("kind", ["random_smooth", "random_smooth_torus", "manifest"])
 def test_exponent_below_one_is_a_config_error(tmp_path, capsys, kind, p):

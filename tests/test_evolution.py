@@ -177,11 +177,24 @@ def _marches(monkeypatch, solve):
     return solve(), calls
 
 
-@pytest.mark.parametrize("case", ["compact_local_evolve", "torus_window", "picard_points"])
+def _jump_velocity():
+    """Two velocity cells of widths 0.3 and 0.7: refined to 77 and 180 cells,
+    so the march block of refined cells [76, 80) straddles the jump."""
+    two = random_smooth_velocity(5, grid=24, cells=2)
+    gamma = TimeVelocity(TimeGrid(np.array([0.0, 0.3, 1.0])), two.fields, two.p)
+    cellmap = gamma.refined(evolution.DEFAULT_MAX_DT)[1]
+    assert evolution.MARCH_BLOCK == 4 and cellmap[76] == 0 and cellmap[77] == 1
+    return gamma.scaled(0.4 / contraction_bound(gamma))
+
+
+@pytest.mark.parametrize("case", ["compact_local_evolve", "compact_jump", "torus_window", "picard_points"])
 def test_march_agrees_with_global_sweep_and_certifies_itself(monkeypatch, case):
     tol = 1e-11
-    if case == "compact_local_evolve":
-        gamma = random_smooth_velocity(7, grid=24, cells=3, target_bound=0.4)
+    if case in ("compact_local_evolve", "compact_jump"):
+        if case == "compact_local_evolve":
+            gamma = random_smooth_velocity(7, grid=24, cells=3, target_bound=0.4)
+        else:
+            gamma = _jump_velocity()
         result, calls = _marches(monkeypatch, lambda: local_evolve(gamma, tol=tol))
         diags = result.segments
     elif case == "torus_window":
@@ -211,6 +224,43 @@ def test_march_agrees_with_global_sweep_and_certifies_itself(monkeypatch, case):
         assert diag.residual_bound <= tol / (1.0 - L)
         # the returned knots are T(zeta): the integrals of the returned densities
         assert np.array_equal(zeta[1:], np.cumsum(args[1].widths()[:, None, None] * g, axis=0) + args[3])
+
+
+def test_march_work_on_the_compact_fixture(monkeypatch):
+    """The rows the march of the compact local_evolve fixture evaluates,
+    certificate included.  The count is deterministic: a rise means blocks
+    need more iterations of `_T` than the extrapolated start gives them."""
+    rows = []
+    eval_cells = TimeVelocity.eval_cells
+    monkeypatch.setattr(TimeVelocity, "eval_cells",
+                        lambda self, cells, pts: rows.append(cells.size) or eval_cells(self, cells, pts))
+    local_evolve(random_smooth_velocity(7, grid=24, cells=3, target_bound=0.4), tol=1e-11)
+    # 1044 rows when every block started from its previous block's last velocity held constant
+    assert sum(rows) <= 560
+
+
+@pytest.mark.parametrize("same", [4, 3, 2, 1, 0])
+def test_predict_is_exact_for_the_polynomial_of_its_history(rng, same):
+    """History cells [0, 4), block [4, 8), on uneven widths: the last
+    ``same`` history cells read the block's velocity cell and lie on a
+    polynomial of degree same - 1; the others hold values the start must
+    ignore.  With none the start is the last velocity held constant."""
+    widths = np.array([0.11, 0.07, 0.13, 0.05, 0.09, 0.12, 0.06, 0.1])
+    grid = TimeGrid(np.r_[0.0, np.cumsum(widths)] / widths.sum())
+    w, mids = grid.widths(), grid.midpoints()
+    cellmap = np.r_[np.zeros(4 - same, dtype=int), np.ones(4 + same, dtype=int)]
+    coeffs = rng.normal(size=(max(same, 1), 3, 2))
+
+    def poly(t):
+        return sum(c * t[:, None, None] ** i for i, c in enumerate(coeffs))
+
+    g = poly(mids[:4])
+    g[:4 - same] = rng.normal(scale=1e3, size=(4 - same, 3, 2))
+    v = poly(mids[4:]) if same else np.broadcast_to(g[-1], (4, 3, 2))
+    expected = np.cumsum(w[4:, None, None] * v, axis=0)
+    got = evolution._predict(mids, w, cellmap, 4, 8, g)
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) < 1e-13
 
 
 # -- field-valued solver -----------------------------------------------------
