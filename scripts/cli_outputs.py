@@ -13,10 +13,11 @@ with a code other than 0.
 Run it in two checkouts, then ``--compare`` the trees.  For every CSV file
 on both sides it prints, per column, the largest absolute difference and
 the largest difference relative to the larger magnitude of the two values,
-and then the largest of each over all files of the same name.  It names
-the files present on one side only, CSV files whose header or row count
-differ, and other files whose bytes differ.  The exit code is 1 if any
-file is on one side only or a CSV file's header or row count differs.
+and then the largest of each over all files of the same name.  Columns are
+matched by name; a column found on one side only is named.  It names the
+files present on one side only, CSV files whose row count differs, and
+other files whose bytes differ.  The exit code is 1 if any file is on one
+side only or a CSV file's row count differs.
 """
 
 from __future__ import annotations
@@ -99,11 +100,18 @@ def compare(a: Path, b: Path) -> int:
                 print(f"{rel}: bytes differ")
             continue
         (head_a, rows_a), (head_b, rows_b) = _read_csv(pa), _read_csv(pb)
-        if head_a != head_b or len(rows_a) != len(rows_b):
-            print(f"{rel}: header or row count differs")
+        if len(rows_a) != len(rows_b):
+            print(f"{rel}: row count differs")
             mismatched += 1
             continue
-        for name, col_a, col_b in zip(head_a, zip(*rows_a), zip(*rows_b)):
+        for side, names in (("A", set(head_a) - set(head_b)), ("B", set(head_b) - set(head_a))):
+            for name in sorted(names):
+                print(f"{rel} {name}: column only in {side}")
+        cols_a, cols_b = dict(zip(head_a, zip(*rows_a))), dict(zip(head_b, zip(*rows_b)))
+        for name, col_a in cols_a.items():
+            if name not in cols_b:
+                continue
+            col_b = cols_b[name]
             diffs = _differences(col_a, col_b)
             if diffs is None:
                 same = sum(x == y for x, y in zip(col_a, col_b))

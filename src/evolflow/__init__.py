@@ -55,7 +55,6 @@ from .manifold_paths import (
     transition,
     section_embed,
     point_eval,
-    evolve_torus,
 )
 
 __version__ = "0.1.0"

@@ -246,7 +246,8 @@ def cmd_evolve(cfg: dict, out: Path, threads: int, seed: int | None, render: boo
         case, gamma = item
         result = evolve(gamma, **kw)
         rows = [
-            [case, result.n, k, s.iterations, s.contraction, s.last_change, s.residual_bound, result.residual]
+            [case, result.n, k, s.iterations, s.contraction, s.last_change, s.residual_bound, s.time_error,
+             result.residual]
             for k, s in enumerate(result.segments)
         ]
         orows, omax = ([], 0.0)
@@ -258,7 +259,8 @@ def cmd_evolve(cfg: dict, out: Path, threads: int, seed: int | None, render: boo
     res_rows = [r for rows, _, _, _ in outputs for r in rows]
     _write_csv(
         out / "residuals.csv",
-        ["case", "n", "segment", "iterations", "contraction", "last_change", "residual_bound", "residual"],
+        ["case", "n", "segment", "iterations", "contraction", "last_change", "residual_bound", "time_error",
+         "residual"],
         res_rows,
     )
     failed = False

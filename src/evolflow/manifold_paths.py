@@ -16,8 +16,6 @@ import numpy as np
 
 from .ac_path import AcPath, ac_eval
 from .lp_space import GridError, LpSample, TimeGrid
-from .evolution import EvolutionResult, TimeVelocity, evolve
-from .vector_field import PeriodicField
 
 __all__ = [
     "wrap_point",
@@ -31,7 +29,6 @@ __all__ = [
     "transition",
     "section_embed",
     "point_eval",
-    "evolve_torus",
 ]
 
 TORUS_RHO = 0.5
@@ -268,10 +265,3 @@ def point_eval(eta: ManifoldAcPath, t: float) -> np.ndarray:
     if eta.manifold.startswith("torus"):
         return wrap_point(coord)
     return np.atleast_1d(circle_point_from_chart(chart, coord))
-
-
-def evolve_torus(gamma: TimeVelocity, **kwargs) -> EvolutionResult:
-    """Evolution on the flat torus: same machinery, periodic composition."""
-    if not isinstance(gamma.proto, PeriodicField):
-        raise TypeError("torus evolution expects periodic fields")
-    return evolve(gamma, **kwargs)

@@ -50,4 +50,17 @@ def test_compare_flags_a_changed_row_count(tmp_path, capsys):
     a = _tree(tmp_path / "a", {"r.csv": "x\n1\n2\n"})
     b = _tree(tmp_path / "b", {"r.csv": "x\n1\n"})
     assert cli_outputs.main(["--compare", str(a), str(b)]) == 1
-    assert "r.csv: header or row count differs" in capsys.readouterr().out
+    assert "r.csv: row count differs" in capsys.readouterr().out
+
+
+def test_compare_matches_columns_by_name(tmp_path, capsys):
+    # a column added in B, and the shared columns in another order
+    a = _tree(tmp_path / "a", {"residuals.csv": "case,residual_bound,residual\n0,1e-13,2.0\n"})
+    b = _tree(tmp_path / "b", {"residuals.csv": "case,residual,time_error,residual_bound\n0,2.5,inf,1e-13\n"})
+    assert cli_outputs.main(["--compare", str(a), str(b)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "residuals.csv time_error: column only in B" in lines
+    assert "residuals.csv case: abs 0 rel 0" in lines
+    assert "residuals.csv residual_bound: abs 0 rel 0" in lines
+    assert "residuals.csv residual: abs 0.5 rel 0.2" in lines
+    assert not any("only in A" in line for line in lines)

@@ -1,8 +1,11 @@
 """Picard evolution: the integral operator, the fixed-point solvers, the
 subdivision machinery, and oracle comparisons against RK4."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evolflow.ac_path import ContinuousTrace
 from evolflow import evolution
@@ -30,7 +33,6 @@ from evolflow.instances import (
     zero_velocity,
 )
 from evolflow.lp_space import LpSample, TimeGrid, euclidean, lp_seminorm
-from evolflow.manifold_paths import evolve_torus
 from conftest import stack_fields
 
 
@@ -182,7 +184,7 @@ def _jump_velocity():
     so the march block of refined cells [76, 80) straddles the jump."""
     two = random_smooth_velocity(5, grid=24, cells=2)
     gamma = TimeVelocity(TimeGrid(np.array([0.0, 0.3, 1.0])), two.fields, two.p)
-    cellmap = gamma.refined(evolution.DEFAULT_MAX_DT)[1]
+    cellmap = gamma.refined(evolution.FINEST_DT)[1]
     assert evolution.MARCH_BLOCK == 4 and cellmap[76] == 0 and cellmap[77] == 1
     return gamma.scaled(0.4 / contraction_bound(gamma))
 
@@ -191,24 +193,29 @@ def _jump_velocity():
 def test_march_agrees_with_global_sweep_and_certifies_itself(monkeypatch, case):
     tol = 1e-11
     if case in ("compact_local_evolve", "compact_jump"):
+        # the budgeted split of the compact fixture solves it three times;
+        # the jump velocity is split uniformly, as its docstring says
         if case == "compact_local_evolve":
-            gamma = random_smooth_velocity(7, grid=24, cells=3, target_bound=0.4)
+            gamma, max_dt = random_smooth_velocity(7, grid=24, cells=3, target_bound=0.4), None
         else:
-            gamma = _jump_velocity()
-        result, calls = _marches(monkeypatch, lambda: local_evolve(gamma, tol=tol))
+            gamma, max_dt = _jump_velocity(), evolution.FINEST_DT
+        result, calls = _marches(monkeypatch, lambda: local_evolve(gamma, tol=tol, max_dt=max_dt))
         diags = result.segments
     elif case == "torus_window":
         # two windows over four cells: no window repeats, one march each
         gamma = random_smooth_torus_velocity(11, grid=12, cells=4, target_bound=0.6)
-        result, calls = _marches(monkeypatch, lambda: evolve_torus(gamma, forced_n=2, tol=tol))
+        result, calls = _marches(monkeypatch, lambda: evolve(gamma, forced_n=2, tol=tol))
         diags = result.segments
     else:
         gamma = random_smooth_velocity(42, target_bound=0.45)
         xs = np.array([[0.45, 0.55], [0.62, 0.38], [0.3, 0.7]])
         result, calls = _marches(monkeypatch, lambda: picard_points(gamma, xs, tol=tol))
         diags = [result[3]]
-    assert len(calls) == len(diags) > 0
-    for (args, (zeta, g, iters, change)), diag in zip(calls, diags):
+    # each solve marches once more for every split it refined; its
+    # diagnostics are those of its last march
+    assert len(calls) == sum(1 + diag.resolves for diag in diags) > 0
+    last = dict(zip(np.cumsum([1 + diag.resolves for diag in diags]) - 1, diags))
+    for i, (args, (zeta, g, iters, change)) in enumerate(calls):
         L = contraction_bound(args[0])
         ref, ref_g = _global_picard(*args[:5], tol=1e-14, max_iter=200)
         # agreement with the global solution, in knot values and densities
@@ -216,14 +223,17 @@ def test_march_agrees_with_global_sweep_and_certifies_itself(monkeypatch, case):
         assert np.max(np.abs(g - ref_g)) < tol
         # the certificate: the Banach bound plus the reference's own error
         # bound and round-off
-        assert diag.last_change == change and diag.contraction == L
-        assert diag.residual_bound == pytest.approx(L / (1.0 - L) * change, rel=1e-15)
+        bound = L / (1.0 - L) * change
         slack = 1e-14 / (1.0 - L) + 1e-15
-        assert np.max(np.abs(zeta - ref)) <= diag.residual_bound + slack
+        assert np.max(np.abs(zeta - ref)) <= bound + slack
         # never looser than the bound of the stopping rule it replaced
-        assert diag.residual_bound <= tol / (1.0 - L)
+        assert bound <= tol / (1.0 - L)
         # the returned knots are T(zeta): the integrals of the returned densities
         assert np.array_equal(zeta[1:], np.cumsum(args[1].widths()[:, None, None] * g, axis=0) + args[3])
+        if i in last:
+            diag = last[i]
+            assert diag.last_change == change and diag.contraction == L
+            assert diag.residual_bound == pytest.approx(bound, rel=1e-15)
 
 
 def test_march_work_on_the_compact_fixture(monkeypatch):
@@ -234,7 +244,7 @@ def test_march_work_on_the_compact_fixture(monkeypatch):
     eval_cells = TimeVelocity.eval_cells
     monkeypatch.setattr(TimeVelocity, "eval_cells",
                         lambda self, cells, pts: rows.append(cells.size) or eval_cells(self, cells, pts))
-    local_evolve(random_smooth_velocity(7, grid=24, cells=3, target_bound=0.4), tol=1e-11)
+    local_evolve(random_smooth_velocity(7, grid=24, cells=3, target_bound=0.4), tol=1e-11, max_dt=evolution.FINEST_DT)
     # 1044 rows when every block started from its previous block's last velocity held constant
     assert sum(rows) <= 560
 
@@ -261,6 +271,87 @@ def test_predict_is_exact_for_the_polynomial_of_its_history(rng, same):
     got = evolution._predict(mids, w, cellmap, 4, 8, g)
     assert got.shape == expected.shape
     assert np.max(np.abs(got - expected)) < 1e-13
+
+
+# -- the time error ------------------------------------------------------------
+
+def _time_error_window(kind, seed, cells, bound):
+    if kind == "compact":
+        return random_smooth_velocity(seed, grid=14, cells=cells, target_bound=bound)
+    if kind == "periodic":
+        return random_smooth_torus_velocity(seed, grid=12, cells=cells, target_bound=bound)
+    # the first window of the rotation plateau, as evolve solves it
+    rotation = rotation_plateau_velocity(omega=2.0 * bound, grid=20)
+    return rotation.subdivide(choose_subdivision(rotation), 0)
+
+
+@pytest.mark.parametrize("kind", ["compact", "periodic", "rotation_plateau"])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 10_000), cells=st.sampled_from([1, 2, 4]), bound=st.floats(0.1, 0.45))
+def test_declared_time_error_covers_the_true_error(kind, seed, cells, bound):
+    """At every split the budgeted chooser can pick, from the floor of 16
+    cells per window (COARSEST_DT) to 256 (FINEST_DT), the declared time
+    error -- the second-difference estimate times the safety factor
+    s = TIME_ERROR_SAFETY = 2 -- is at least the end error against the same
+    window split to 1/1024."""
+    gamma = _time_error_window(kind, seed, cells, bound)
+    nodes = gamma.proto.nodes()
+
+    def end(max_dt):
+        res = local_evolve(gamma, tol=1e-13, max_dt=max_dt)
+        return res.path.end().disp.eval(nodes), res.segments[0].time_error
+
+    assert evolution.COARSEST_DT == 1.0 / 16 and evolution.TIME_ERROR_SAFETY == 2.0
+    ref = end(1.0 / 1024)[0]
+    for cells_per_window in (16, 32, 64, 128, 256):
+        got, time_error = end(1.0 / cells_per_window)
+        assert np.max(np.abs(got - ref)) <= time_error
+
+
+def test_budgeted_split_takes_the_coarsest_step_within_the_budget():
+    gamma = rotation_plateau_velocity(omega=0.3)
+    window = gamma.subdivide(choose_subdivision(gamma), 0)
+    res = local_evolve(window)
+    diag = res.segments[0]
+    assert diag.time_error <= evolution.TIME_ERROR_BUDGET
+    # the window went from 16 to 32 cells, because 16 were over budget
+    assert res.path.grid.ncells == 32 and diag.resolves == 1
+    assert local_evolve(window, max_dt=1.0 / 16).segments[0].time_error > evolution.TIME_ERROR_BUDGET
+    # at the cap the estimate is reported, over budget or not
+    capped = local_evolve(window, finest_dt=1.0 / 16)
+    assert capped.path.grid.ncells == 16 and capped.segments[0].resolves == 0
+    assert capped.segments[0].time_error > evolution.TIME_ERROR_BUDGET
+
+
+def test_time_error_is_inf_below_three_cells_per_velocity_cell(gamma):
+    assert gamma.grid.ncells == 4
+    assert local_evolve(gamma, max_dt=1.0 / 8).segments[0].time_error == np.inf
+    assert np.isfinite(local_evolve(gamma, max_dt=1.0 / 12).segments[0].time_error)
+
+
+#: sha256 of the knots, start and stacked density coefficients of
+#: evolve(gamma, max_dt=1/256), taken with the uniform split as the only
+#: split (numpy 2.4, x86-64): a given max_dt splits every window as it did
+_UNIFORM_DIGESTS = {
+    "compact": "a4f40daf6bd4a6549fb6b2a01c3dfb0d2b604d02219e0d1c7eebdc660c248f84",
+    "compact_windows": "1f5e792d58e8ab1d499dc2e1434fd49327e8c89906f774d19e02561ce29f2ed8",
+    "torus": "1dcae78f2bb86640dda6823b0ca1e4384074803654afdab45025a2cd685fc2e6",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNIFORM_DIGESTS))
+def test_a_given_max_dt_keeps_the_uniform_split_bit_for_bit(case):
+    gamma = {
+        "compact": lambda: random_smooth_velocity(42, target_bound=0.3),
+        "compact_windows": lambda: random_smooth_velocity(5, grid=16, cells=2, target_bound=1.2),
+        "torus": lambda: random_smooth_torus_velocity(11, grid=12, cells=4, target_bound=0.6),
+    }[case]()
+    res = evolve(gamma, max_dt=1.0 / 256)
+    digest = hashlib.sha256()
+    for arr in (res.path.grid.knots, res.path.start.coeffs, res.path.stacked.coeffs):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    assert res.path.grid.ncells == 256
+    assert digest.hexdigest() == _UNIFORM_DIGESTS[case]
 
 
 # -- field-valued solver -----------------------------------------------------
@@ -316,8 +407,8 @@ def test_evolve_composition_law(gamma):
     # glue two half-speed copies: evolving the whole equals the product of
     # the two half evolutions, up to solver and resampling tolerance
     res = evolve(gamma, forced_n=2)
-    first = local_evolve(gamma.subdivide(2, 0), max_dt=2.0 / 256)
-    second = local_evolve(gamma.subdivide(2, 1), max_dt=2.0 / 256)
+    first = local_evolve(gamma.subdivide(2, 0), finest_dt=2.0 / 256)
+    second = local_evolve(gamma.subdivide(2, 1), finest_dt=2.0 / 256)
     glued = star(second.path.end(), first.path.end())
     end = res.path.end()
     defect = (glued.disp - end.disp).sup_seminorm()
@@ -333,13 +424,13 @@ def test_residual_of_solution_is_small(gamma):
     assert residual(gamma, bad_scaled) > 10.0 * res.residual
 
 
-def _evolve_per_cell(gamma, n, max_dt=1.0 / 256):
+def _evolve_per_cell(gamma, n):
     """Density coefficients of evolve(gamma, forced_n=n) the plain way: a
     fresh solve of every window and one right translation per cell."""
     A = identity_like(gamma.proto)
     coeffs = []
     for k in range(n):
-        seg = local_evolve(gamma.subdivide(n, k), max_dt=max_dt * n)
+        seg = local_evolve(gamma.subdivide(n, k), finest_dt=evolution.FINEST_DT * n)
         for D in seg.path.density:
             coeffs.append((D if k == 0 else d_rho(A, D)).scaled(float(n)).coeffs)
         A = star(seg.path.end(), A)

@@ -6,7 +6,7 @@ import pytest
 
 from evolflow.ac_path import AcPath, ac_eval
 from evolflow.instances import constant_torus_velocity, random_smooth_torus_velocity
-from evolflow.evolution import flow_point, rk4_points
+from evolflow.evolution import evolve, flow_point, rk4_points
 from evolflow.lp_space import LpSample, TimeGrid
 from evolflow.manifold_paths import (
     ManifoldAcPath,
@@ -16,7 +16,6 @@ from evolflow.manifold_paths import (
     circle_chart_from_point,
     circle_point_from_chart,
     circle_transition_derivative,
-    evolve_torus,
     local_addition,
     point_eval,
     section_embed,
@@ -230,17 +229,10 @@ def test_normalized_addition_fd(rng):
 
 # -- torus evolution ---------------------------------------------------------
 
-def test_evolve_torus_requires_periodic():
-    from evolflow.instances import zero_velocity
-
-    with pytest.raises(TypeError):
-        evolve_torus(zero_velocity())
-
-
 def test_evolve_torus_constant_field(rng):
     v = np.array([0.3, -0.2])
     gamma = constant_torus_velocity(v)
-    res = evolve_torus(gamma)
+    res = evolve(gamma)
     pts = rng.uniform(0.0, 1.0, size=(20, 2))
     moved = wrap_point(flow_point(res, 1.0, pts))
     assert np.max(np.abs(wrap_diff(moved - wrap_point(pts + v)))) < 1e-9
@@ -248,7 +240,7 @@ def test_evolve_torus_constant_field(rng):
 
 def test_evolve_torus_matches_rk4(rng):
     gamma = random_smooth_torus_velocity(9, target_bound=0.3)
-    res = evolve_torus(gamma)
+    res = evolve(gamma)
     xs = rng.uniform(0.0, 1.0, size=(15, 2))
     oracle = rk4_points(gamma, xs, 4096)[-1]
     got = flow_point(res, 1.0, xs)
