@@ -16,8 +16,11 @@ the largest difference relative to the larger magnitude of the two values,
 and then the largest of each over all files of the same name.  Columns are
 matched by name; a column found on one side only is named.  It names the
 files present on one side only, CSV files whose row count differs, and
-other files whose bytes differ.  The exit code is 1 if any file is on one
-side only or a CSV file's row count differs.
+other files whose bytes differ.  For a field file (``.cfld``) whose bytes
+differ it prints the largest absolute and relative coefficient difference,
+also kept per file name as the ``coefficients`` column, or "geometry
+differs".  The exit code is 1 if any file is on one side only or a CSV
+file's row count differs.
 """
 
 from __future__ import annotations
@@ -37,8 +40,10 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from evolflow import cli  # noqa: E402
+from evolflow.vector_field import load_field  # noqa: E402
 
 
 def write_outputs(out: Path, seeds: list[int], threads: int | None) -> int:
@@ -84,6 +89,23 @@ def _differences(a, b) -> tuple[float, float] | None:
     return worst_abs, worst_rel
 
 
+def _field_differences(pa: Path, pb: Path) -> tuple[float, float] | None:
+    """Largest absolute and relative coefficient difference of two field
+    files, or None if their geometries differ."""
+    fa, fb = load_field(pa), load_field(pb)
+    if (fa._geometry(), fa.ncomp, getattr(fa, "margin", 0)) != (fb._geometry(), fb.ncomp, getattr(fb, "margin", 0)):
+        return None
+    diff = np.abs(fa.coeffs - fb.coeffs)
+    scale = np.maximum(np.abs(fa.coeffs), np.abs(fb.coeffs))
+    rel = np.divide(diff, scale, out=np.zeros_like(diff), where=diff > 0)
+    return float(diff.max()), float(rel.max())
+
+
+def _record(summary: dict, key: tuple[str, str], diffs: tuple[float, float]):
+    worst = summary.setdefault(key, [0.0, 0.0])
+    worst[:] = [max(worst[0], diffs[0]), max(worst[1], diffs[1])]
+
+
 def compare(a: Path, b: Path) -> int:
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
@@ -96,8 +118,15 @@ def compare(a: Path, b: Path) -> int:
     for rel in sorted(files_a & files_b):
         pa, pb = a / rel, b / rel
         if rel.suffix != ".csv":
-            if pa.read_bytes() != pb.read_bytes():
+            if pa.read_bytes() == pb.read_bytes():
+                continue
+            if rel.suffix != ".cfld":
                 print(f"{rel}: bytes differ")
+            elif (diffs := _field_differences(pa, pb)) is None:
+                print(f"{rel}: geometry differs")
+            else:
+                print(f"{rel} coefficients: abs {diffs[0]:.3g} rel {diffs[1]:.3g}")
+                _record(summary, (rel.name, "coefficients"), diffs)
             continue
         (head_a, rows_a), (head_b, rows_b) = _read_csv(pa), _read_csv(pb)
         if len(rows_a) != len(rows_b):
@@ -118,8 +147,7 @@ def compare(a: Path, b: Path) -> int:
                 print(f"{rel} {name}: {len(col_a) - same} of {len(col_a)} values differ")
                 continue
             print(f"{rel} {name}: abs {diffs[0]:.3g} rel {diffs[1]:.3g}")
-            worst = summary.setdefault((rel.name, name), [0.0, 0.0])
-            worst[:] = [max(worst[0], diffs[0]), max(worst[1], diffs[1])]
+            _record(summary, (rel.name, name), diffs)
     print("largest over all files of one name:")
     for (fname, name), (worst_abs, worst_rel) in sorted(summary.items()):
         print(f"  {fname} {name}: abs {worst_abs:.3g} rel {worst_rel:.3g}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .lp_space import TimeGrid
-from .vector_field import _SplineField, load_manifest, save_manifest, spectral_norms, vf_compose_displacement
+from .vector_field import _SplineField, load_manifest, save_manifest, vf_compose_displacement
 
 __all__ = [
     "GroupElement",
@@ -172,20 +172,15 @@ def _batched_cr_norms(proto: _SplineField, coeffs: np.ndarray, div: int) -> np.n
     safety factor) of each field F on proto's geometry with coefficients
     coeffs[..., i, :].
 
-    Fields are evaluated in chunks stacked along the component axis, so the
-    lattice is evaluated once per chunk.
+    Fields are sampled in chunks stacked on the component axis, to bound memory.
     """
     count, d = coeffs.shape[-2:]
-    pts = proto._lattice(div)
     out = np.empty(count)
     chunk = max(1, 32 // d)
     for k0 in range(0, count, chunk):
         part = coeffs[..., k0 : k0 + chunk, :]
-        m = part.shape[-2]
-        big = proto.with_coeffs(part.reshape(proto.shape + (m * d,)))
-        vals = big.eval(pts).reshape(len(pts), m, d)
-        jacs = big.jacobian(pts).reshape(len(pts), m, d, d)
-        out[k0 : k0 + m] = np.linalg.norm(vals, axis=2).max(axis=0) + spectral_norms(jacs).max(axis=0)
+        sup_f, sup_df = proto.with_coeffs(part.reshape(proto.shape + (-1,))).lattice_sups(div, d)
+        out[k0 : k0 + part.shape[-2]] = sup_f + sup_df
     return out
 
 

@@ -169,6 +169,9 @@ class TimeVelocity:
 
 @dataclass
 class PicardDiagnostics:
+    """``iterations`` counts the sweeps of the returned solve only; the earlier
+    marches of a window solved again are counted only by ``resolves``."""
+
     iterations: int
     last_change: float
     contraction: float
@@ -525,10 +528,9 @@ def residual(gamma: TimeVelocity, path: GroupPath) -> float:
     """Sup over knots and grid nodes of the integral-equation defect
     |eta - T(gamma, 0, eta)|, in displacements."""
     grid = gamma.grid.refine(path.grid)
-    nodes = path.stacked.nodes()
-    P, d = nodes.shape
-    dens_vals = path.stacked.eval(nodes).reshape(P, path.grid.ncells, d)
-    start_vals = path.start.eval(nodes)
+    start_vals = path.start.on_lattice(1)
+    P, d = start_vals.shape
+    dens_vals = path.stacked.on_lattice(1).reshape(P, path.grid.ncells, d)
     steps = dens_vals * path.grid.widths()[None, :, None]
     path_knot_vals = np.concatenate(
         [start_vals[:, None, :], start_vals[:, None, :] + np.cumsum(steps, axis=1)], axis=1
@@ -539,7 +541,7 @@ def residual(gamma: TimeVelocity, path: GroupPath) -> float:
     for i, (ci, partial) in enumerate(zip(path_cells, partials)):
         knot_vals[i] = path_knot_vals[:, ci, :] + partial * dens_vals[:, ci, :]
     cells = gamma.grid.cell_of(grid.midpoints())
-    return float(np.max(np.abs(knot_vals - _T(gamma, cells, grid.widths(), 0.0, nodes, knot_vals)[0])))
+    return float(np.max(np.abs(knot_vals - _T(gamma, cells, grid.widths(), 0.0, path.stacked.nodes(), knot_vals)[0])))
 
 
 def continuity_probe(

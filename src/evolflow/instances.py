@@ -214,6 +214,8 @@ def resolve_velocity(spec: dict):
     spec = dict(spec)
     count = spec.pop("count", None)
     if count is not None:
+        if type(count) is not int or count < 1:
+            raise ValueError(f"count must be a positive integer, got {count!r}")
         seed = spec.get("seed", 0)
         out = []
         for i in range(count):

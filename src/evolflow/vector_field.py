@@ -9,6 +9,7 @@ derivatives of the spline, never finite differences.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -64,6 +65,17 @@ def _dweights(t: np.ndarray) -> np.ndarray:
     out[..., 1] = 1.5 * t2 - 2.0 * t
     out[..., 2] = -1.5 * t2 + t + 0.5
     out[..., 3] = 0.5 * t2
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _lattice_weights(n: int, div: int, der: bool) -> np.ndarray:
+    """Read-only (div*n, n+4) cubic weights, or with ``der`` derivative weights per
+    grid step, of coordinates i/div on n coefficients padded as in `_table`."""
+    i = np.arange(div * n)
+    out = np.zeros((i.size, n + 4))
+    out[i[:, None], i[:, None] // div + np.arange(4)] = (_dweights if der else _weights)(i % div / div)
+    out.flags.writeable = False
     return out
 
 
@@ -205,32 +217,41 @@ class _SplineField:
         return self.with_coeffs(coeffs)
 
     # -- lattices and seminorms -------------------------------------------
-    def _lattice(self, div: int) -> np.ndarray:
-        axes = [
-            np.linspace(self.lo[ax], self.lo[ax] + (self._span(ax)) * self.h, div * self._span(ax) + 1)
-            for ax in range(self.dimension)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
-
-    def _span(self, ax: int) -> int:
-        raise NotImplementedError
-
     def nodes(self) -> np.ndarray:
         if getattr(self, "_nodes", None) is None:
-            self._nodes = self._lattice(1)
+            axes = [np.linspace(self.lo[ax], self.lo[ax] + (n - 1) * self.h, n) for ax, n in enumerate(self.shape)]
+            mesh = np.meshgrid(*axes, indexing="ij")
+            self._nodes = np.stack([m.ravel() for m in mesh], axis=1)
         return self._nodes
+
+    def on_lattice(self, div: int, der: int | None = None) -> np.ndarray:
+        """Values, or the derivative along axis ``der``, at grid coordinates
+        i/div, i < div*n, on each axis of n nodes, in C order, by one tensordot
+        per axis.  A periodic lattice stops before 1, which repeats 0; compact
+        points past the last node read only zero-margin layers, so they are
+        exact zeros.  ``on_lattice(1)`` is the node values."""
+        out = self._table()[0].reshape(tuple(n + 4 for n in self.shape) + (self.ncomp,))
+        for ax, n in enumerate(self.shape):
+            # contracting the leading axis appends the lattice axis at the end
+            out = np.tensordot(out, _lattice_weights(n, div, ax == der), axes=(0, 1))
+        out = np.moveaxis(out, 0, -1).reshape(-1, self.ncomp)
+        return out if der is None else out / self.h
+
+    def lattice_sups(self, div: int, group: int) -> tuple[np.ndarray, np.ndarray]:
+        """sup |F| and sup ||DF||_op on ``on_lattice(div)`` per ``group`` components."""
+        m, d = self.ncomp // group, self.dimension
+        vals = self.on_lattice(div).reshape(-1, m, group)
+        jacs = np.stack([self.on_lattice(div, ax) for ax in range(d)], axis=-1).reshape(-1, m, group, d)
+        return np.linalg.norm(vals, axis=2).max(axis=0), spectral_norms(jacs).max(axis=0)
 
     def alpha(self) -> float:
         """Conservative estimate of sup ||DF||_op over R^n."""
         if getattr(self, "_alpha", None) is None:
-            pts = self._lattice(ALPHA_DIV)
-            self._alpha = ALPHA_SAFETY * float(np.max(spectral_norms(self.jacobian(pts))))
+            self._alpha = ALPHA_SAFETY * float(self.lattice_sups(ALPHA_DIV, self.ncomp)[1][0])
         return self._alpha
 
     def sup_seminorm(self, div: int = ALPHA_DIV) -> float:
-        pts = self._lattice(div)
-        return float(np.max(np.linalg.norm(self.eval(pts), axis=1)))
+        return float(self.lattice_sups(div, self.ncomp)[0][0])
 
     # -- linear structure --------------------------------------------------
     def _check_geometry(self, other: "_SplineField"):
@@ -286,8 +307,6 @@ class CompactField(_SplineField):
         self.h = float(h)
         self.coeffs = self._zero_margin(coeffs, margin)
         self.margin = margin
-        self._alpha = None
-        self._nodes = None
 
     @staticmethod
     def _zero_margin(coeffs: np.ndarray, margin: int) -> np.ndarray:
@@ -304,9 +323,6 @@ class CompactField(_SplineField):
     @property
     def hi(self) -> np.ndarray:
         return self.lo + (np.array(self.shape) - 1) * self.h
-
-    def _span(self, ax: int) -> int:
-        return self.shape[ax] - 1
 
     def _grid_coords(self, points: np.ndarray, n) -> np.ndarray:
         # a point clamped onto the box face reads only zero-margin layers,
@@ -344,21 +360,6 @@ class PeriodicField(_SplineField):
         self.lo = np.zeros(len(shape))
         self.h = 1.0 / shape[0]
         self.coeffs = coeffs
-        self._alpha = None
-        self._nodes = None
-
-    def _span(self, ax: int) -> int:
-        # sampling lattices cover the full period [0, 1]
-        return self.shape[ax]
-
-    def nodes(self) -> np.ndarray:
-        # interpolation nodes: the N distinct points per axis, 1 excluded
-        if self._nodes is None:
-            n = self.shape[0]
-            axes = [np.linspace(0.0, (n - 1) * self.h, n)] * self.dimension
-            mesh = np.meshgrid(*axes, indexing="ij")
-            self._nodes = np.stack([m.ravel() for m in mesh], axis=1)
-        return self._nodes
 
     def _grid_coords(self, points: np.ndarray, n) -> np.ndarray:
         # mod(x, 1) rounds to 1.0 for x just below a whole period, so u = n

@@ -35,3 +35,10 @@ def stack_fields(fields):
     """Fields of one geometry as one field, their components side by side:
     the stacked density of a group path with one field per cell."""
     return fields[0].with_coeffs(np.concatenate([f.coeffs for f in fields], axis=-1))
+
+
+def lattice_points(f, div: int) -> np.ndarray:
+    """The points of ``f.on_lattice(div)``, built apart from it: grid
+    coordinates i/div, i < div*n, on each axis of n nodes, in C order."""
+    axes = [f.lo[ax] + f.h * np.arange(div * n) / div for ax, n in enumerate(f.shape)]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)

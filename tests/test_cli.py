@@ -236,6 +236,18 @@ def test_bad_velocity_manifest_is_a_config_error(tmp_path, capsys, case):
     assert not (out / "failure.json").exists()
 
 
+@pytest.mark.parametrize("count", [0, -2, True, 1.5, "2"])
+@pytest.mark.parametrize("oracle", [False, True])
+def test_bad_velocity_count_is_a_config_error(tmp_path, capsys, count, oracle):
+    cfg = {"velocity": {"kind": "random_smooth", "grid": 12, "count": count}}
+    if oracle:
+        cfg["oracle"] = {"seeds": 2, "tolerance": 1e-3}
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert f"count must be a positive integer, got {count!r}" in capsys.readouterr().err
+    assert not (out / "failure.json").exists()
+
+
 @pytest.mark.parametrize("case", ["unknown_key", "missing_path"])
 def test_bad_manifest_velocity_spec_is_a_config_error(tmp_path, capsys, case):
     zero_velocity(grid=12).save(tmp_path, "v")

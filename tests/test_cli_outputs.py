@@ -3,6 +3,10 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from evolflow.vector_field import CompactField, PeriodicField, save_field
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "cli_outputs.py"
 spec = importlib.util.spec_from_file_location("cli_outputs", SCRIPT)
 cli_outputs = importlib.util.module_from_spec(spec)
@@ -64,3 +68,25 @@ def test_compare_matches_columns_by_name(tmp_path, capsys):
     assert "residuals.csv residual_bound: abs 0 rel 0" in lines
     assert "residuals.csv residual: abs 0.5 rel 0.2" in lines
     assert not any("only in A" in line for line in lines)
+
+
+def test_compare_reports_field_coefficient_differences(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    coeffs = np.zeros((7, 7, 2))
+    coeffs[3, 3] = [2.0, -1.0]
+    field = CompactField([0.0, 0.0], 0.25, coeffs)
+    save_field(field, a / "same.cfld")
+    save_field(field, b / "same.cfld")
+    save_field(field, a / "path_density.cfld")
+    moved = coeffs.copy()
+    moved[3, 3, 0] = 2.5
+    save_field(field.with_coeffs(moved), b / "path_density.cfld")
+    save_field(field, a / "start.cfld")
+    save_field(PeriodicField(coeffs), b / "start.cfld")
+    assert cli_outputs.main(["--compare", str(a), str(b)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "path_density.cfld coefficients: abs 0.5 rel 0.2" in lines
+    assert "  path_density.cfld coefficients: abs 0.5 rel 0.2" in lines
+    assert "start.cfld: geometry differs" in lines
+    assert not any(line.startswith("same.cfld") for line in lines)

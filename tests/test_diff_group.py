@@ -20,7 +20,7 @@ from evolflow.diff_group import (
 from evolflow.instances import plateau_weight, random_plateau_field
 from evolflow.lp_space import TimeGrid
 from evolflow.vector_field import CompactField, PeriodicField, resampling_estimate, save_field, spectral_norms
-from conftest import stack_fields
+from conftest import lattice_points, stack_fields
 
 
 def plateau_translation_1d(a: float, grid: int = 129) -> GroupElement:
@@ -229,8 +229,9 @@ def test_load_group_path_rejects_other_manifests(tmp_path, phi, psi):
 # -- path distance -----------------------------------------------------------
 
 def cr_seminorm(f, div: int = 2) -> float:
-    """Reference: sup |F| + sup ||DF||_op of one field on its sampling lattice."""
-    pts = f._lattice(div)
+    """Reference: sup |F| + sup ||DF||_op of one field on its sampling lattice,
+    from the scattered kernel."""
+    pts = lattice_points(f, div)
     return float(np.max(np.linalg.norm(f.eval(pts), axis=1)) + np.max(spectral_norms(f.jacobian(pts))))
 
 

@@ -334,7 +334,7 @@ def test_time_error_is_inf_below_three_cells_per_velocity_cell(gamma):
 #: split (numpy 2.4, x86-64): a given max_dt splits every window as it did
 _UNIFORM_DIGESTS = {
     "compact": "a4f40daf6bd4a6549fb6b2a01c3dfb0d2b604d02219e0d1c7eebdc660c248f84",
-    "compact_windows": "1f5e792d58e8ab1d499dc2e1434fd49327e8c89906f774d19e02561ce29f2ed8",
+    "compact_windows": "9a8d450d8a841a0ef68df7eec1883603e67cf134d73c341624bdbd08028afa56",
     "torus": "1dcae78f2bb86640dda6823b0ca1e4384074803654afdab45025a2cd685fc2e6",
 }
 

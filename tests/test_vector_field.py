@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
+from conftest import lattice_points
+
 from evolflow.instances import plateau_weight, random_plateau_field
 from evolflow.vector_field import (
     ALPHA_SAFETY,
@@ -110,6 +112,38 @@ def test_eval_matches_scipy_spline(periodic, rng):
     corners = np.array([lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)])
     pts = np.concatenate([inside, faces, corners, outside, shifted])
     assert np.max(np.abs(f.eval(pts) - _scipy_eval(f, pts, mode))) <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    periodic=st.booleans(),
+    d=st.integers(1, 3),
+    div=st.integers(1, 4),
+    seed=st.integers(0, 10_000),
+)
+def test_lattice_sampler_matches_scattered_kernel(periodic, d, div, seed):
+    rng = np.random.default_rng(seed)
+    if periodic:
+        f = PeriodicField(rng.normal(size=(int(rng.integers(5, 9)),) * d + (2,)))
+    else:
+        shape = tuple(rng.integers(5, 9, size=d))
+        f = CompactField(rng.uniform(-1.0, 1.0, size=d), rng.uniform(0.05, 0.5), rng.normal(size=shape + (2,)))
+    pts = lattice_points(f, div)
+    tol = 1e-13 * np.max(np.abs(f.coeffs))
+    vals, jacs = f.on_lattice(div), f.jacobian(pts)
+    ders = [f.on_lattice(div, der=ax) for ax in range(d)]
+    assert vals.shape == (len(pts), 2)
+    assert np.max(np.abs(vals - f.eval(pts))) <= tol
+    for ax in range(d):
+        assert np.max(np.abs(ders[ax] - jacs[:, :, ax])) <= tol / f.h
+    assert np.max(np.abs(f.on_lattice(1) - f.eval(f.nodes()))) <= tol
+    assert f.alpha() == pytest.approx(ALPHA_SAFETY * np.max(spectral_norms(f.jacobian(lattice_points(f, 4)))), rel=1e-14)
+    if not periodic:
+        # points past the last node read only zero-margin layers
+        past = np.any((pts - f.lo) / f.h > np.array(f.shape) - 1 + 0.5 / div, axis=1)
+        assert past.any() == (div > 1)
+        assert np.all(vals[past] == 0.0)
+        assert all(np.all(der[past] == 0.0) for der in ders)
 
 
 # -- alpha -------------------------------------------------------------------
