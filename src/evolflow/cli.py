@@ -104,7 +104,6 @@ _OBJECT = ("an object", lambda v: isinstance(v, dict))
 _SOLVER_KEYS = {
     "L_max": ("a number in (0, 1]", lambda v: _is_real(v) and 0 < v <= 1),
     "tol": _POSITIVE,
-    "max_dt": _POSITIVE,
     "forced_n": ("a positive integer", _is_count),
 }
 _ORACLE_KEYS = {

@@ -130,21 +130,23 @@ class GroupPath:
             self._cum = cum + self.start.coeffs[..., None, :]
         return self._cum
 
+    def coeffs_at(self, times) -> np.ndarray:
+        """Displacement coefficients at the times, spatial + (times, d), exact:
+        the cumulative coefficients at the knot before plus the partial cell."""
+        times = np.asarray(times, dtype=float)
+        i = self.grid.cell_of(times)
+        partial = (times - self.grid.knots[i])[:, None]
+        return np.take(self._cumulative(), i, axis=-2) + partial * np.take(self._cells(), i, axis=-2)
+
     def field_at(self, t: float) -> _SplineField:
-        """Displacement field of the path at time t (exact in coefficients)."""
-        i = self.grid.cell_of(t)
-        partial = t - self.grid.knots[i]
-        return self.stacked.with_coeffs(self._cumulative()[..., i, :] + partial * self._cells()[..., i, :])
+        """Displacement field of the path at time t."""
+        return self.stacked.with_coeffs(self.coeffs_at([t])[..., 0, :])
 
     def element_at(self, t: float) -> GroupElement:
         return GroupElement(self.field_at(t))
 
     def end(self) -> GroupElement:
         return self.element_at(self.grid.b)
-
-    @staticmethod
-    def neutral(proto: _SplineField, grid: TimeGrid) -> "GroupPath":
-        return GroupPath(grid, proto.with_coeffs(np.zeros(proto.shape + (grid.ncells * proto.dimension,))))
 
 
 def save_group_path(path: GroupPath, directory, name: str = "path"):

@@ -16,11 +16,11 @@ only the start changes, not the fixed point.  One application of T
 over the whole grid then returns T(zeta) and certifies it: its distance to
 the fixed point is at most L/(1-L) * max |T(zeta) - zeta|.  The midpoint
 rule is second order; its error is declared from the second differences of
-the solved velocities, and unless a maximum step is given each window's
-time is split only as finely as a time-error budget needs: 16 cells,
-doubled and solved again while over budget, never finer than 1/256 of the
-original time.  Velocities with a large contraction budget are split into
-n rescaled segments, each solved locally and glued by right translation.
+the solved velocities, and every solve splits its time only as finely as a
+time-error budget needs: 16 cells, doubled and solved again while over
+budget, never finer than 1/256 of the original time.  Velocities with a
+large contraction budget are split into n rescaled segments, each solved
+locally and glued by right translation.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ __all__ = [
 
 DEFAULT_L_MAX = 0.5
 #: finest time step of the budgeted split in the original time, so
-#: FINEST_DT * n in the time of a window of n; also picard_points' step
+#: FINEST_DT * n in the time of a window of n
 FINEST_DT = 1.0 / 256.0
 #: coarsest time step the budgeted split starts from, in window time
 COARSEST_DT = 1.0 / 16.0
@@ -234,6 +234,11 @@ def contraction_bound(gamma: TimeVelocity) -> float:
     return float(np.sum(gamma.grid.widths() * gamma.alpha_values()))
 
 
+def _check_L_max(L_max: float) -> None:
+    if not (0.0 < L_max <= 1.0):
+        raise ValueError(f"L_max must lie in (0, 1], got {L_max}")
+
+
 def _check_budget(L: float, bound: float, remedy: str) -> None:
     """Raise unless L < bound, which a NaN budget also fails."""
     if not np.isfinite(L):
@@ -336,25 +341,36 @@ def _time_error(g, w, cellmap, L):
     return TIME_ERROR_SAFETY / (1.0 - L) * total
 
 
-def picard_points(
-    gamma: TimeVelocity,
-    xs: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-    max_dt: float = FINEST_DT,
-):
-    """Batched fixed-point trajectories for several start points.
+def _budgeted_march(gamma, anchors, offsets, L, tol, max_iter, finest_dt):
+    """`_picard_march` on cells of width ``max(COARSEST_DT, finest_dt)``,
+    halved and marched again, down to ``finest_dt``, while the declared time
+    error (`_time_error`) exceeds `TIME_ERROR_BUDGET`; at ``finest_dt`` it
+    is reported whatever its value.  Returns the grid, knot values,
+    velocities and diagnostics of the last march."""
+    dt = max(COARSEST_DT, finest_dt)
+    resolves = 0
+    while True:
+        grid, cellmap = gamma.refined(dt)
+        zeta, g, iters, change = _picard_march(gamma, grid, cellmap, anchors, offsets, tol, max_iter)
+        time_error = _time_error(g, grid.widths(), cellmap, L)
+        if time_error <= TIME_ERROR_BUDGET or dt <= finest_dt:
+            break
+        # release this march before the next one allocates its own
+        del zeta, g
+        dt = max(0.5 * dt, finest_dt)
+        resolves += 1
+    diag = PicardDiagnostics(iters, change, L, L / (1.0 - L) * change, time_error=time_error, resolves=resolves)
+    return grid, zeta, g, diag
 
-    Returns (grid, knot values (T+1, S, d), densities (T, S, d), diag).
+
+def picard_points(gamma: TimeVelocity, xs: np.ndarray, tol: float = 1e-12, max_iter: int = 200):
+    """Batched fixed-point trajectories for several start points, on the
+    budgeted split: (grid, knot values (T+1, S, d), densities (T, S, d), diag).
     """
     L = contraction_bound(gamma)
     _check_budget(L, 1.0, "subdivide first")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    grid, cellmap = gamma.refined(max_dt)
-    zeta, g, iters, change = _picard_march(gamma, grid, cellmap, xs, 0.0, tol, max_iter)
-    diag = PicardDiagnostics(iters, change, L, L / (1.0 - L) * change,
-                             time_error=_time_error(g, grid.widths(), cellmap, L))
-    return grid, zeta, g, diag
+    return _budgeted_march(gamma, xs, 0.0, L, tol, max_iter, FINEST_DT)
 
 
 # -- reference integrator --------------------------------------------------
@@ -391,49 +407,23 @@ def local_evolve(
     L_max: float = DEFAULT_L_MAX,
     tol: float = 1e-11,
     max_iter: int = 200,
-    max_dt: float | None = None,
     finest_dt: float = FINEST_DT,
 ) -> EvolutionResult:
     """Evolution inside the contraction ball: one Picard solve for every
-    node of the displacement grid simultaneously.
-
-    With ``max_dt`` every velocity cell is split uniformly into cells of
-    width at most ``max_dt``.  Without it the split is chosen from the time
-    error: each velocity cell is split to width `COARSEST_DT` (never finer
-    than ``finest_dt``), and while the declared time error (`_time_error`)
-    exceeds `TIME_ERROR_BUDGET` the width is halved, down to ``finest_dt``,
-    and the window solved again.  At ``finest_dt`` the estimate is reported
-    whatever its value.  The diagnostics hold the time error of the
-    returned solve and the number of solves repeated.
-    """
+    node of the displacement grid simultaneously, on the coarsest split
+    within the time-error budget no finer than ``finest_dt``."""
+    _check_L_max(L_max)
     L = contraction_bound(gamma)
-    _check_budget(L, L_max, "use evolve()")
+    _check_budget(L, L_max, "use evolve(), with a larger forced_n or none")
     proto = gamma.proto
     nodes = proto.nodes()
-    dt = max_dt if max_dt is not None else max(COARSEST_DT, finest_dt)
-    anchors = np.zeros_like(nodes)
-    if all(not np.any(f.coeffs) for f in gamma.fields):
-        path = GroupPath.neutral(proto, gamma.refined(dt)[0])
-        diag = PicardDiagnostics(0, 0.0, 0.0, 0.0)
-        return EvolutionResult(path, 1, [diag], gamma)
-    resolves = 0
-    while True:
-        grid, cellmap = gamma.refined(dt)
-        # the knot values are not needed, and the velocities only as node
-        # values of every cell side by side on the component axis: release
-        # both before the filter allocates the coefficients
-        g, iters, change = _picard_march(gamma, grid, cellmap, anchors, nodes, tol, max_iter)[1:]
-        time_error = _time_error(g, grid.widths(), cellmap, L)
-        if max_dt is not None or time_error <= TIME_ERROR_BUDGET or dt <= finest_dt:
-            break
-        del g
-        dt = max(0.5 * dt, finest_dt)
-        resolves += 1
+    grid, zeta, g, diag = _budgeted_march(gamma, np.zeros_like(nodes), nodes, L, tol, max_iter, finest_dt)
+    # node values of all cells side by side on the component axis; the knot
+    # values and velocities are released before the filter allocates
     values = np.moveaxis(g, 0, 1).reshape(proto.shape + (-1,))
-    del g
+    del zeta, g
     path = GroupPath(grid, proto.with_values(values))
-    res_est = resampling_estimate(values, proto.h)
-    diag = PicardDiagnostics(iters, change, L, L / (1.0 - L) * change, res_est, time_error, resolves)
+    diag.resample_estimate = resampling_estimate(values, proto.h)
     return EvolutionResult(path, 1, [diag], gamma)
 
 
@@ -452,8 +442,7 @@ def window_budgets(gamma: TimeVelocity, n: int) -> np.ndarray:
 
 def choose_subdivision(gamma: TimeVelocity, L_max: float = DEFAULT_L_MAX) -> int:
     """Smallest doubling count n with every segment budget below L_max."""
-    if not (0.0 < L_max <= 1.0):
-        raise ValueError(f"L_max must lie in (0, 1], got {L_max}")
+    _check_L_max(L_max)
     n = 1
     # np.max, unlike max(), propagates a NaN budget
     while not ((budget := float(np.max(window_budgets(gamma, n)))) < L_max):
@@ -471,15 +460,10 @@ def evolve(
     forced_n: int | None = None,
     tol: float = 1e-11,
     max_iter: int = 200,
-    max_dt: float | None = None,
 ) -> EvolutionResult:
     """Global evolution: subdivide, solve each segment locally, glue by
-    right translation.
-
-    A window of n spans 1/n of the original time, so ``max_dt`` (original
-    time) splits it uniformly to ``max_dt * n`` in window time; without
-    ``max_dt`` each window's split is chosen from the time-error budget,
-    no finer than ``FINEST_DT * n`` (see `local_evolve`).
+    right translation.  A window of n spans 1/n of the original time, so its
+    split is no finer than ``FINEST_DT * n`` in window time.
 
     Windows with the same mapped knots and the same source cells pose the
     same problem bit for bit, so each distinct window is solved once.  Each
@@ -489,8 +473,6 @@ def evolve(
     axis.
     """
     n = forced_n if forced_n is not None else choose_subdivision(gamma, L_max)
-    if n == 1:
-        return local_evolve(gamma, L_max, tol, max_iter, max_dt)
     A = identity_like(gamma.proto)
     knots = [0.0]
     parts = []
@@ -500,14 +482,14 @@ def evolve(
         grid, cells = gamma.window(n, k)
         key = (grid.knots.tobytes(), tuple(cells))
         if key not in solved:
-            solved[key] = local_evolve(gamma.subdivide(n, k), L_max, tol, max_iter,
-                                       None if max_dt is None else max_dt * n, FINEST_DT * n)
+            solved[key] = local_evolve(gamma.subdivide(n, k), L_max, tol, max_iter, FINEST_DT * n)
         seg = solved[key]
         segments.append(seg.segments[0])
         seg_knots = (seg.path.grid.knots + k) / n
         knots.extend(seg_knots[1:].tolist())
         parts.append((seg.path.stacked if k == 0 else d_rho(A, seg.path.stacked)).coeffs)
-        A = star(seg.path.end(), A)
+        if k + 1 < n:
+            A = star(seg.path.end(), A)
     # scaled in place after the join: one copy of the whole density fewer
     coeffs = np.concatenate(parts, axis=-1)
     coeffs *= float(n)
@@ -528,18 +510,11 @@ def residual(gamma: TimeVelocity, path: GroupPath) -> float:
     """Sup over knots and grid nodes of the integral-equation defect
     |eta - T(gamma, 0, eta)|, in displacements."""
     grid = gamma.grid.refine(path.grid)
-    start_vals = path.start.on_lattice(1)
-    P, d = start_vals.shape
-    dens_vals = path.stacked.on_lattice(1).reshape(P, path.grid.ncells, d)
-    steps = dens_vals * path.grid.widths()[None, :, None]
-    path_knot_vals = np.concatenate(
-        [start_vals[:, None, :], start_vals[:, None, :] + np.cumsum(steps, axis=1)], axis=1
-    )  # (P, path knots, d)
-    path_cells = path.grid.cell_of(grid.knots)
-    partials = grid.knots - path.grid.knots[path_cells]
-    knot_vals = np.empty((grid.knots.size, P, d))
-    for i, (ci, partial) in enumerate(zip(path_cells, partials)):
-        knot_vals[i] = path_knot_vals[:, ci, :] + partial * dens_vals[:, ci, :]
+    coeffs = path.coeffs_at(grid.knots)
+    K, d = coeffs.shape[-2:]
+    vals = path.stacked.with_coeffs(coeffs.reshape(coeffs.shape[:-2] + (K * d,))).on_lattice(1)
+    # (knots, nodes, d), contiguous: the velocity evaluations read it by knot
+    knot_vals = np.ascontiguousarray(np.moveaxis(vals.reshape(-1, K, d), 1, 0))
     cells = gamma.grid.cell_of(grid.midpoints())
     return float(np.max(np.abs(knot_vals - _T(gamma, cells, grid.widths(), 0.0, path.stacked.nodes(), knot_vals)[0])))
 

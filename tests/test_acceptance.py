@@ -190,7 +190,7 @@ def test_criterion_04_subdivision_consistency(capsys):
         # composition law at k=1: the full evolution at time 1 equals the
         # product of the two window evolutions
         first_end = r2.path.element_at(0.5)  # exact in coefficients
-        second = local_evolve(gamma.subdivide(2, 1), max_dt=2.0 / 256)
+        second = local_evolve(gamma.subdivide(2, 1), finest_dt=2.0 / 256)
         glued = star(second.path.end(), first_end)
         comp = (glued.disp - r1.path.end().disp).sup_seminorm()
         worst_comp = max(worst_comp, comp / tol)

@@ -161,7 +161,7 @@ def test_path_piecewise_density(phi, psi):
 
 
 def test_neutral_path(phi):
-    path = GroupPath.neutral(phi.disp, TimeGrid.uniform(0.0, 1.0, 3))
+    path = GroupPath(TimeGrid.uniform(0.0, 1.0, 3), stack_fields([phi.disp.zero_like()] * 3))
     assert path.field_at(0.6).sup_seminorm() == 0.0
 
 

@@ -2,6 +2,7 @@
 subdivision machinery, and oracle comparisons against RK4."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -194,12 +195,14 @@ def test_march_agrees_with_global_sweep_and_certifies_itself(monkeypatch, case):
     tol = 1e-11
     if case in ("compact_local_evolve", "compact_jump"):
         # the budgeted split of the compact fixture solves it three times;
-        # the jump velocity is split uniformly, as its docstring says
+        # the jump velocity is split uniformly at FINEST_DT, as its docstring
+        # says, by starting the split at its finest step
         if case == "compact_local_evolve":
-            gamma, max_dt = random_smooth_velocity(7, grid=24, cells=3, target_bound=0.4), None
+            gamma = random_smooth_velocity(7, grid=24, cells=3, target_bound=0.4)
         else:
-            gamma, max_dt = _jump_velocity(), evolution.FINEST_DT
-        result, calls = _marches(monkeypatch, lambda: local_evolve(gamma, tol=tol, max_dt=max_dt))
+            gamma = _jump_velocity()
+            monkeypatch.setattr(evolution, "COARSEST_DT", evolution.FINEST_DT)
+        result, calls = _marches(monkeypatch, lambda: local_evolve(gamma, tol=tol))
         diags = result.segments
     elif case == "torus_window":
         # two windows over four cells: no window repeats, one march each
@@ -244,7 +247,9 @@ def test_march_work_on_the_compact_fixture(monkeypatch):
     eval_cells = TimeVelocity.eval_cells
     monkeypatch.setattr(TimeVelocity, "eval_cells",
                         lambda self, cells, pts: rows.append(cells.size) or eval_cells(self, cells, pts))
-    local_evolve(random_smooth_velocity(7, grid=24, cells=3, target_bound=0.4), tol=1e-11, max_dt=evolution.FINEST_DT)
+    # one march, split uniformly at FINEST_DT
+    monkeypatch.setattr(evolution, "COARSEST_DT", evolution.FINEST_DT)
+    local_evolve(random_smooth_velocity(7, grid=24, cells=3, target_bound=0.4), tol=1e-11)
     # 1044 rows when every block started from its previous block's last velocity held constant
     assert sum(rows) <= 560
 
@@ -297,8 +302,10 @@ def test_declared_time_error_covers_the_true_error(kind, seed, cells, bound):
     gamma = _time_error_window(kind, seed, cells, bound)
     nodes = gamma.proto.nodes()
 
-    def end(max_dt):
-        res = local_evolve(gamma, tol=1e-13, max_dt=max_dt)
+    def end(dt):
+        # one march, split uniformly at dt
+        with mock.patch.object(evolution, "COARSEST_DT", dt):
+            res = local_evolve(gamma, tol=1e-13, finest_dt=dt)
         return res.path.end().disp.eval(nodes), res.segments[0].time_error
 
     assert evolution.COARSEST_DT == 1.0 / 16 and evolution.TIME_ERROR_SAFETY == 2.0
@@ -316,7 +323,6 @@ def test_budgeted_split_takes_the_coarsest_step_within_the_budget():
     assert diag.time_error <= evolution.TIME_ERROR_BUDGET
     # the window went from 16 to 32 cells, because 16 were over budget
     assert res.path.grid.ncells == 32 and diag.resolves == 1
-    assert local_evolve(window, max_dt=1.0 / 16).segments[0].time_error > evolution.TIME_ERROR_BUDGET
     # at the cap the estimate is reported, over budget or not
     capped = local_evolve(window, finest_dt=1.0 / 16)
     assert capped.path.grid.ncells == 16 and capped.segments[0].resolves == 0
@@ -325,13 +331,13 @@ def test_budgeted_split_takes_the_coarsest_step_within_the_budget():
 
 def test_time_error_is_inf_below_three_cells_per_velocity_cell(gamma):
     assert gamma.grid.ncells == 4
-    assert local_evolve(gamma, max_dt=1.0 / 8).segments[0].time_error == np.inf
-    assert np.isfinite(local_evolve(gamma, max_dt=1.0 / 12).segments[0].time_error)
+    assert local_evolve(gamma, finest_dt=1.0 / 8).segments[0].time_error == np.inf
+    assert np.isfinite(local_evolve(gamma, finest_dt=1.0 / 12).segments[0].time_error)
 
 
-#: sha256 of the knots, start and stacked density coefficients of
-#: evolve(gamma, max_dt=1/256), taken with the uniform split as the only
-#: split (numpy 2.4, x86-64): a given max_dt splits every window as it did
+#: sha256 of the knots, start and stacked density coefficients of evolve
+#: with every window split uniformly to 1/256 of the original time, taken
+#: when that uniform split was the only split (numpy 2.4, x86-64)
 _UNIFORM_DIGESTS = {
     "compact": "a4f40daf6bd4a6549fb6b2a01c3dfb0d2b604d02219e0d1c7eebdc660c248f84",
     "compact_windows": "9a8d450d8a841a0ef68df7eec1883603e67cf134d73c341624bdbd08028afa56",
@@ -340,13 +346,15 @@ _UNIFORM_DIGESTS = {
 
 
 @pytest.mark.parametrize("case", sorted(_UNIFORM_DIGESTS))
-def test_a_given_max_dt_keeps_the_uniform_split_bit_for_bit(case):
+def test_the_finest_split_keeps_the_uniform_digests(monkeypatch, case):
     gamma = {
         "compact": lambda: random_smooth_velocity(42, target_bound=0.3),
         "compact_windows": lambda: random_smooth_velocity(5, grid=16, cells=2, target_bound=1.2),
         "torus": lambda: random_smooth_torus_velocity(11, grid=12, cells=4, target_bound=0.6),
     }[case]()
-    res = evolve(gamma, max_dt=1.0 / 256)
+    # a coarsest step of 0 starts the budgeted split at its finest step
+    monkeypatch.setattr(evolution, "COARSEST_DT", 0.0)
+    res = evolve(gamma)
     digest = hashlib.sha256()
     for arr in (res.path.grid.knots, res.path.start.coeffs, res.path.stacked.coeffs):
         digest.update(np.ascontiguousarray(arr).tobytes())
@@ -360,7 +368,12 @@ def test_local_evolve_zero_is_neutral():
     gamma = zero_velocity(cells=2)
     res = local_evolve(gamma)
     assert res.residual == 0.0
-    assert res.path.field_at(0.7).sup_seminorm() == 0.0
+    assert not np.any(res.path.stacked.coeffs)
+    # the march converges at once: one block sweep and the certificate
+    diag = res.segments[0]
+    assert (diag.iterations, diag.last_change, diag.contraction, diag.residual_bound) == (2, 0.0, 0.0, 0.0)
+    assert diag.time_error == 0.0 and diag.resolves == 0
+    assert res.path.grid.ncells == 16
 
 
 def test_local_evolve_translation(rng):
@@ -448,6 +461,36 @@ def test_evolve_density_matches_per_cell_gluing(case):
     ref = _evolve_per_cell(gamma, n)
     assert len(res.path.density) == len(ref)
     assert all(np.array_equal(D.coeffs, c) for D, c in zip(res.path.density, ref))
+
+
+def test_evolve_with_one_window_is_local_evolve(gamma):
+    res, ref = evolve(gamma, forced_n=1), local_evolve(gamma)
+    assert res.n == 1 and res.segments == ref.segments
+    for arr, ref_arr in [(res.path.grid.knots, ref.path.grid.knots), (res.path.start.coeffs, ref.path.start.coeffs),
+                         (res.path.stacked.coeffs, ref.path.stacked.coeffs)]:
+        assert np.array_equal(arr, ref_arr)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_evolve_forms_the_product_only_between_windows(monkeypatch, n):
+    products = []
+    monkeypatch.setattr(evolution, "star", lambda *a: products.append(1) or star(*a))
+    evolve(random_smooth_torus_velocity(11, grid=12, cells=4, target_bound=0.3), forced_n=n)
+    assert len(products) == n - 1
+
+
+@pytest.mark.parametrize("L_max", [1.5, float("nan"), -1.0])
+def test_forced_subdivision_checks_L_max(L_max):
+    # L = 1.2: with L_max = 1.5 one window would solve a non-contraction
+    gamma = random_smooth_velocity(3, grid=16, cells=2, target_bound=1.2)
+    with pytest.raises(ValueError, match=r"L_max must lie in \(0, 1\]"):
+        evolve(gamma, L_max=L_max, forced_n=1)
+
+
+def test_forced_window_over_budget_names_forced_n():
+    gamma = random_smooth_velocity(3, grid=16, cells=2, target_bound=1.2)
+    with pytest.raises(ValueError, match="larger forced_n"):
+        evolve(gamma, forced_n=2)
 
 
 def test_evolve_solves_each_distinct_window_once(monkeypatch):
