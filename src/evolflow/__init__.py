@@ -29,7 +29,6 @@ from .vector_field import (
     load_field,
 )
 from .diff_group import (
-    GroupElement,
     GroupPath,
     star,
     inverse,

@@ -19,9 +19,7 @@ from .lp_space import TimeGrid
 from .vector_field import _SplineField, load_manifest, save_manifest, vf_compose_displacement
 
 __all__ = [
-    "GroupElement",
     "GroupPath",
-    "identity_like",
     "star",
     "inverse",
     "d_rho",
@@ -31,52 +29,36 @@ __all__ = [
 ]
 
 
-@dataclass
-class GroupElement:
-    """A chart point: the displacement of id + phi."""
-
-    disp: _SplineField
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """(id + phi)(points)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return points + self.disp.eval(points)
+def star(phi: _SplineField, psi: _SplineField) -> _SplineField:
+    """Group product psi + phi o (id + psi) of displacement fields, on psi's class and geometry."""
+    return psi + vf_compose_displacement(phi, psi)
 
 
-def identity_like(proto: _SplineField) -> GroupElement:
-    return GroupElement(proto.zero_like())
-
-
-def star(phi: GroupElement, psi: GroupElement) -> GroupElement:
-    """Group product in displacement coordinates: psi + phi o (id + psi)."""
-    return GroupElement(psi.disp + vf_compose_displacement(phi.disp, psi.disp))
-
-
-def inverse(phi: GroupElement, tol: float = 1e-10, max_iter: int = 500) -> GroupElement:
-    """Fixed point of psi = -phi o (id + psi), solved by iteration.
+def inverse(phi: _SplineField, tol: float = 1e-10, max_iter: int = 500) -> _SplineField:
+    """Displacement field of (id + phi)^-1, on phi's class and geometry: the
+    fixed point of psi = -phi o (id + psi), solved by iteration.
 
     Requires alpha(phi) < 1, which makes the iteration a contraction.
     """
-    a = phi.disp.alpha()
+    a = phi.alpha()
     if a >= 1.0:
         raise ValueError(f"inverse needs alpha < 1, got {a:.4g}")
-    nodes = phi.disp.nodes()
-    vals = -phi.disp.eval(nodes)
+    nodes = phi.nodes()
+    vals = -phi.eval(nodes)
     for _ in range(max_iter):
-        new = -phi.disp.eval(nodes + vals)
+        new = -phi.eval(nodes + vals)
         change = float(np.max(np.abs(new - vals)))
         vals = new
         if change < tol:
             break
     else:
         raise RuntimeError(f"inverse did not converge (last change {change:.3g})")
-    shape = phi.disp.shape + (phi.disp.ncomp,)
-    return GroupElement(phi.disp.with_values(vals.reshape(shape)))
+    return phi.with_values(vals.reshape(phi.shape + (phi.ncomp,)))
 
 
-def d_rho(psi: GroupElement, vf: _SplineField) -> _SplineField:
-    """Derivative of right translation by psi: vf -> vf o (id + psi)."""
-    return vf_compose_displacement(vf, psi.disp)
+def d_rho(psi: _SplineField, vf: _SplineField) -> _SplineField:
+    """Derivative of right translation by psi: vf -> vf o (id + psi), on vf's class and geometry."""
+    return vf_compose_displacement(vf, psi)
 
 
 @dataclass
@@ -142,11 +124,9 @@ class GroupPath:
         """Displacement field of the path at time t."""
         return self.stacked.with_coeffs(self.coeffs_at([t])[..., 0, :])
 
-    def element_at(self, t: float) -> GroupElement:
-        return GroupElement(self.field_at(t))
-
-    def end(self) -> GroupElement:
-        return self.element_at(self.grid.b)
+    def end(self) -> _SplineField:
+        """Displacement field of the path at the end of its grid."""
+        return self.field_at(self.grid.b)
 
 
 def save_group_path(path: GroupPath, directory, name: str = "path"):

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .ac_path import ContinuousTrace
-from .diff_group import GroupPath, d_rho, group_path_distance, identity_like, star
+from .diff_group import GroupPath, d_rho, group_path_distance, star
 from .lp_space import GridError, TimeGrid
 from .vector_field import _SplineField, load_manifest, resampling_estimate, save_manifest
 from ._parallel import ordered_thread_map
@@ -160,9 +160,11 @@ class TimeVelocity:
     @staticmethod
     def load(manifest_path: str | Path) -> "TimeVelocity":
         obj, fields = load_manifest(manifest_path)
+        p = obj.get("p")
+        if p is not None and type(p) not in (int, float):
+            raise ValueError(f"{manifest_path}: p must be null or a number, got {p!r}")
         try:
-            p = np.inf if obj.get("p") is None else float(obj["p"])
-            return TimeVelocity(TimeGrid(np.asarray(obj["knots"])), fields, p)
+            return TimeVelocity(TimeGrid(np.asarray(obj["knots"])), fields, np.inf if p is None else float(p))
         except ValueError as exc:
             raise ValueError(f"{manifest_path}: {exc}") from exc
 
@@ -473,7 +475,7 @@ def evolve(
     axis.
     """
     n = forced_n if forced_n is not None else choose_subdivision(gamma, L_max)
-    A = identity_like(gamma.proto)
+    A = gamma.proto.zero_like()
     knots = [0.0]
     parts = []
     segments = []
@@ -499,11 +501,9 @@ def evolve(
 
 def flow_point(result: EvolutionResult, t: float, x) -> np.ndarray:
     """(id + eta(t))(x)."""
-    x = np.asarray(x, dtype=float)
-    elem = result.path.element_at(t)
-    if x.ndim == 1:
-        return elem.apply(x[None])[0]
-    return elem.apply(x)
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    moved = pts + result.path.field_at(t).eval(pts)
+    return moved[0] if np.ndim(x) == 1 else moved
 
 
 def residual(gamma: TimeVelocity, path: GroupPath) -> float:

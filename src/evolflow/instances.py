@@ -206,6 +206,28 @@ def random_trace(rng, ncells: int, dim: int, box=(0.2, 0.8)) -> ContinuousTrace:
     return ContinuousTrace(grid, vals)
 
 
+def _manifest_velocity(**spec) -> TimeVelocity:
+    # seed is written into every spec by --seed; a manifest has no use for it
+    unknown = sorted(set(spec) - {"path", "seed"})
+    if unknown:
+        raise ValueError(f"velocity kind 'manifest' takes only a 'path' entry, not {unknown}")
+    if "path" not in spec:
+        raise ValueError("velocity kind 'manifest' needs a 'path' entry")
+    return TimeVelocity.load(spec["path"])
+
+
+# velocity kind -> constructor, called with the rest of the spec
+_VELOCITY_KINDS = {
+    "zero": zero_velocity,
+    "random_smooth": random_smooth_velocity,
+    "random_smooth_torus": random_smooth_torus_velocity,
+    "rotation_plateau": rotation_plateau_velocity,
+    "translation_plateau": translation_plateau_velocity,
+    "constant_torus": constant_torus_velocity,
+    "manifest": _manifest_velocity,
+}
+
+
 def resolve_velocity(spec: dict):
     """Build velocity instances from a config dictionary.
 
@@ -223,25 +245,8 @@ def resolve_velocity(spec: dict):
             case["seed"] = seed + i
             out.append(resolve_velocity(case))
         return out
-    kind = spec.pop("kind")
-    if kind == "zero":
-        return zero_velocity(**spec)
-    if kind == "random_smooth":
-        return random_smooth_velocity(**spec)
-    if kind == "random_smooth_torus":
-        return random_smooth_torus_velocity(**spec)
-    if kind == "rotation_plateau":
-        return rotation_plateau_velocity(**spec)
-    if kind == "translation_plateau":
-        return translation_plateau_velocity(**spec)
-    if kind == "constant_torus":
-        return constant_torus_velocity(**spec)
-    if kind == "manifest":
-        # seed is written into every spec by --seed; a manifest has no use for it
-        unknown = sorted(set(spec) - {"path", "seed"})
-        if unknown:
-            raise ValueError(f"velocity kind 'manifest' takes only a 'path' entry, not {unknown}")
-        if "path" not in spec:
-            raise ValueError("velocity kind 'manifest' needs a 'path' entry")
-        return TimeVelocity.load(spec["path"])
-    raise ValueError(f"unknown velocity kind {kind!r}")
+    kind = spec.pop("kind", None)
+    if not isinstance(kind, str) or kind not in _VELOCITY_KINDS:
+        got = "none" if kind is None else repr(kind)
+        raise ValueError(f"velocity kind must be one of {', '.join(_VELOCITY_KINDS)}; got {got}")
+    return _VELOCITY_KINDS[kind](**spec)

@@ -42,3 +42,8 @@ def lattice_points(f, div: int) -> np.ndarray:
     coordinates i/div, i < div*n, on each axis of n nodes, in C order."""
     axes = [f.lo[ax] + f.h * np.arange(div * n) / div for ax, n in enumerate(f.shape)]
     return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+def displaced(disp, points: np.ndarray) -> np.ndarray:
+    """(id + disp)(points) for a displacement field and points of shape (N, d)."""
+    return points + disp.eval(points)

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from evolflow import evolution
+from evolflow import cli, evolution
 from evolflow.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 from evolflow.diff_group import load_group_path
 from evolflow.instances import resolve_velocity, zero_velocity
@@ -28,9 +28,19 @@ def test_missing_config_file(tmp_path):
     assert main(["evolve", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
-def test_bad_velocity_spec(tmp_path):
+KNOWN_KINDS = "zero, random_smooth, random_smooth_torus, rotation_plateau, translation_plateau, constant_torus, manifest"
+
+
+def test_bad_velocity_spec(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"velocity": {"kind": "no_such_kind"}})
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"velocity kind must be one of {KNOWN_KINDS}; got 'no_such_kind'" in capsys.readouterr().err
+
+
+def test_velocity_spec_without_kind_names_the_known_kinds(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"velocity": {"grid": 12}})
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"velocity kind must be one of {KNOWN_KINDS}; got none" in capsys.readouterr().err
 
 
 def test_velocity_entry_required(tmp_path):
@@ -70,6 +80,19 @@ def test_evolve_with_oracle_and_render(tmp_path):
     assert len(rows) == 5
     assert max(float(r["error"]) for r in rows) < 1e-3
     assert (out / "deformed_grid_000.ppm").read_bytes()[:2] == b"P6"
+
+
+def test_empty_oracle_entry_runs_the_default_oracle(tmp_path, monkeypatch):
+    calls = []
+    # the zero velocity moves no point, so the oracle's end points are the start points
+    monkeypatch.setattr(cli, "rk4_points", lambda gamma, xs, steps: calls.append((xs, steps)) or xs[None])
+    for i, oracle in enumerate([{}, {"seeds": 50, "steps": 4096, "seed": 1234}]):
+        out = tmp_path / f"out{i}"
+        cfg = write_cfg(tmp_path, {"velocity": {"kind": "zero", "grid": 12}, "oracle": oracle})
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert len(read_csv(out / "oracle.csv")) == 50
+    (xs, steps), (xs_given, steps_given) = calls
+    assert steps == steps_given == 4096 and np.array_equal(xs, xs_given)
 
 
 def test_evolve_check_failure_exit_code(tmp_path):
@@ -236,6 +259,18 @@ def test_bad_velocity_manifest_is_a_config_error(tmp_path, capsys, case):
     # the file at fault is named: a field file that cannot be read, else the manifest
     named = {"missing_file": tmp_path / "missing.cfld", "directory": tmp_path / "sub"}.get(case, manifest)
     assert str(named) in err
+    assert not (out / "failure.json").exists()
+
+
+@pytest.mark.parametrize("p", [True, "2", [2]], ids=["bool", "string", "list"])
+def test_velocity_manifest_p_must_be_null_or_a_number(tmp_path, capsys, p):
+    zero_velocity(grid=12).save(tmp_path, "v")
+    manifest = tmp_path / "v.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "p": p}))
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {"velocity": {"kind": "manifest", "path": str(manifest)}})
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"{manifest}: p must be null or a number, got {p!r}" in capsys.readouterr().err
     assert not (out / "failure.json").exists()
 
 

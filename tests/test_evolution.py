@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from evolflow.ac_path import ContinuousTrace
 from evolflow import evolution
-from evolflow.diff_group import d_rho, group_path_distance, identity_like, star
+from evolflow.diff_group import d_rho, group_path_distance, star
 from evolflow.evolution import (
     TimeVelocity,
     apply_T,
@@ -34,7 +34,7 @@ from evolflow.instances import (
     zero_velocity,
 )
 from evolflow.lp_space import LpSample, TimeGrid, euclidean, lp_seminorm
-from conftest import stack_fields
+from conftest import displaced, stack_fields
 
 
 @pytest.fixture(scope="module")
@@ -306,7 +306,7 @@ def test_declared_time_error_covers_the_true_error(kind, seed, cells, bound):
         # one march, split uniformly at dt
         with mock.patch.object(evolution, "COARSEST_DT", dt):
             res = local_evolve(gamma, tol=1e-13, finest_dt=dt)
-        return res.path.end().disp.eval(nodes), res.segments[0].time_error
+        return res.path.end().eval(nodes), res.segments[0].time_error
 
     assert evolution.COARSEST_DT == 1.0 / 16 and evolution.TIME_ERROR_SAFETY == 2.0
     ref = end(1.0 / 1024)[0]
@@ -382,7 +382,7 @@ def test_local_evolve_translation(rng):
     res = evolve(gamma, tol=1e-12)
     pts = 0.5 + rng.uniform(-0.15, 0.15, size=(30, 2))
     for t in [0.5, 1.0]:
-        moved = res.path.element_at(t).apply(pts)
+        moved = displaced(res.path.field_at(t), pts)
         # small translation keeps the core inside the plateau
         assert np.max(np.abs(moved - (pts + t * v))) < 1e-5
 
@@ -424,7 +424,7 @@ def test_evolve_composition_law(gamma):
     second = local_evolve(gamma.subdivide(2, 1), finest_dt=2.0 / 256)
     glued = star(second.path.end(), first.path.end())
     end = res.path.end()
-    defect = (glued.disp - end.disp).sup_seminorm()
+    defect = (glued - end).sup_seminorm()
     assert defect < 1e-6
 
 
@@ -440,7 +440,7 @@ def test_residual_of_solution_is_small(gamma):
 def _evolve_per_cell(gamma, n):
     """Density coefficients of evolve(gamma, forced_n=n) the plain way: a
     fresh solve of every window and one right translation per cell."""
-    A = identity_like(gamma.proto)
+    A = gamma.proto.zero_like()
     coeffs = []
     for k in range(n):
         seg = local_evolve(gamma.subdivide(n, k), finest_dt=evolution.FINEST_DT * n)
