@@ -72,10 +72,7 @@ def _velocities(cfg: dict, seed_override: int | None, key: str = "velocity"):
     if key not in cfg:
         raise ConfigError(f"config needs a {key!r} entry")
     try:
-        spec = dict(cfg[key])
-        if seed_override is not None:
-            spec["seed"] = seed_override
-        vel = instances.resolve_velocity(spec)
+        vel = instances.resolve_velocity(cfg[key], seed_override)
     except (TypeError, KeyError, ValueError, OSError) as exc:
         raise ConfigError(f"bad {key} spec: {exc}") from exc
     return vel if isinstance(vel, list) else [vel]
@@ -212,8 +209,6 @@ def _save_result(result, out: Path, name: str) -> None:
 
 def _render_ppm(result, out: Path, name: str, size: int = 400, lines: int = 12) -> None:
     proto = result.path.stacked
-    if proto.dimension != 2:
-        return
     lo = proto.lo
     hi = getattr(proto, "hi", proto.lo + 1.0)
     img = np.full((size, size), 255, dtype=np.uint8)
@@ -240,6 +235,8 @@ def cmd_evolve(cfg: dict, out: Path, threads: int, seed: int | None, render: boo
     gammas = _velocities(cfg, seed)
     if torus and not all(isinstance(g.proto, PeriodicField) for g in gammas):
         raise ConfigError("torus-evolve needs a periodic velocity, such as kind random_smooth_torus")
+    if render and gammas[0].dimension != 2:
+        raise ConfigError(f"--render draws 2-d velocities only, got dimension {gammas[0].dimension}")
 
     def one(item):
         case, gamma = item

@@ -12,15 +12,15 @@ in time, so it is marched: T is iterated on one block of cells at a time.
 Each block starts from the end of the one before, extrapolated with the
 polynomial through the previous block's midpoint velocities that read the
 same velocity cell, as in the predictor of a predictor-corrector method;
-only the start changes, not the fixed point.  One application of T
-over the whole grid then returns T(zeta) and certifies it: its distance to
-the fixed point is at most L/(1-L) * max |T(zeta) - zeta|.  The midpoint
-rule is second order; its error is declared from the second differences of
-the solved velocities, and every solve splits its time only as finely as a
-time-error budget needs: 16 cells, doubled and solved again while over
-budget, never finer than 1/256 of the original time.  Velocities with a
-large contraction budget are split into n rescaled segments, each solved
-locally and glued by right translation.
+only the start changes, not the fixed point.  The velocities of each block's
+last iteration, read at the knots zeta of that iteration, sum to T(zeta)
+and certify it: its distance to the fixed point is at most
+L/(1-L) * max |T(zeta) - zeta|.  The midpoint rule is second order; its
+error is declared from the second differences of the solved velocities, and
+every solve splits its time only as finely as a time-error budget needs: 16
+cells, doubled and solved again while over budget, never finer than 1/256
+of the original time.  Velocities with a large contraction budget are split
+into n rescaled segments, each solved locally and glued by right translation.
 """
 
 from __future__ import annotations
@@ -171,8 +171,8 @@ class TimeVelocity:
 
 @dataclass
 class PicardDiagnostics:
-    """``iterations`` counts the sweeps of the returned solve only; the earlier
-    marches of a window solved again are counted only by ``resolves``."""
+    """``iterations`` counts the block sweeps of the returned march, in whole
+    grids rounded up; earlier marches of a window count only in ``resolves``."""
 
     iterations: int
     last_change: float
@@ -214,11 +214,16 @@ def _T(gamma: TimeVelocity, cells, w, anchors, offsets, zeta):
     new knot values and those midpoint velocities (K-1, S, d).
     """
     g = gamma.eval_cells(cells, 0.5 * (zeta[:-1] + zeta[1:]) + offsets)
-    new = np.empty_like(zeta)
+    return _integrate(w, anchors, g), g
+
+
+def _integrate(w, anchors, g):
+    """Knot values anchors + cumsum(w * g) of midpoint velocities g (K-1, S, d)."""
+    new = np.empty((g.shape[0] + 1,) + g.shape[1:])
     new[0] = anchors
     np.cumsum(w[:, None, None] * g, axis=0, out=new[1:])
     new[1:] += anchors
-    return new, g
+    return new
 
 
 def apply_T(gamma: TimeVelocity, x, zeta: ContinuousTrace) -> ContinuousTrace:
@@ -281,34 +286,37 @@ def _picard_march(gamma, grid, cellmap, anchors, offsets, tol, max_iter):
     nodes (S, d) for field-valued solves working in displacements).
 
     Each block of `MARCH_BLOCK` cells iterates `_T` on its own knots until
-    the change falls below ``tol``.  The first block starts from the
-    constant path; each later one from the end of the previous block plus
-    the integrals of the previous block's velocities extrapolated in time
-    (`_predict`).  Returns T(zeta) over the whole grid, its midpoint
-    velocities, the cell evaluations in whole-grid sweeps (rounded up, this
-    last one included) and the certificate change max |T(zeta) - zeta|.
+    the change falls below ``tol``, integrating from T(zeta) at its first
+    knot.  The first block starts from the constant path; each later one
+    adds the integrals of the previous block's velocities extrapolated in
+    time (`_predict`).  The last iterate is not written back, so zeta holds
+    the knots each block last read and g their velocities.  Returns T(zeta)
+    over the whole grid, g, the cell evaluations in whole-grid sweeps
+    (rounded up) and the certificate change max |T(zeta) - zeta|.
     """
     w = grid.widths()
     mids = grid.midpoints()
     ncells = w.size
     zeta = np.empty((ncells + 1,) + anchors.shape)
     zeta[0] = anchors
+    g = np.empty((ncells,) + anchors.shape)
+    start = anchors
     evaluations = 0
     for lo in range(0, ncells, MARCH_BLOCK):
         hi = min(lo + MARCH_BLOCK, ncells)
         block = zeta[lo:hi + 1]
-        block[1:] = block[0] if lo == 0 else block[0] + _predict(mids, w, cellmap, lo, hi, g)
+        block[1:] = start if lo == 0 else start + _predict(mids, w, cellmap, lo, hi, g[lo - MARCH_BLOCK:lo])
         change = np.inf
         stalled = 0
         for it in range(1, max_iter + 1):
-            new, g = _T(gamma, cellmap[lo:hi], w[lo:hi], block[0], offsets, block)
-            prev, change = change, float(np.max(np.abs(new - block)))
-            block[1:] = new[1:]
+            new, g[lo:hi] = _T(gamma, cellmap[lo:hi], w[lo:hi], start, offsets, block)
+            prev, change = change, float(np.max(np.abs(new[1:] - block[1:])))
             evaluations += hi - lo
             # a contraction shrinks the change every iteration until round-off stops it
             stalled = 0 if change < prev else stalled + 1
             if change < tol or stalled == STAGNATION_ITERATIONS:
                 break
+            block[1:] = new[1:]
         if not change < tol:
             why = (f"stagnated: the change has not fallen for {stalled} iterations"
                    if stalled == STAGNATION_ITERATIONS else f"did not reach tol in {max_iter} iterations")
@@ -316,9 +324,10 @@ def _picard_march(gamma, grid, cellmap, anchors, offsets, tol, max_iter):
                 f"Picard iteration {why}, at iteration {it} of the block of refined cells [{lo}, {hi}) "
                 f"(t in [{grid.knots[lo]:.6g}, {grid.knots[hi]:.6g}]; last change {change:.3g}, tol={tol})"
             )
-    new, g = _T(gamma, cellmap, w, anchors, offsets, zeta)
+        start = new[-1]
+    new = _integrate(w, anchors, g)
     certificate = float(np.max(np.abs(new - zeta)))
-    return new, g, -(-(evaluations + ncells) // ncells), certificate
+    return new, g, -(-evaluations // ncells), certificate
 
 
 def _time_error(g, w, cellmap, L):

@@ -6,6 +6,8 @@ its parameters (seeds included), so experiment outputs are reproducible.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 from scipy import ndimage
 
@@ -207,7 +209,7 @@ def random_trace(rng, ncells: int, dim: int, box=(0.2, 0.8)) -> ContinuousTrace:
 
 
 def _manifest_velocity(**spec) -> TimeVelocity:
-    # seed is written into every spec by --seed; a manifest has no use for it
+    # a seed entry is accepted and ignored, so configs that name one still load
     unknown = sorted(set(spec) - {"path", "seed"})
     if unknown:
         raise ValueError(f"velocity kind 'manifest' takes only a 'path' entry, not {unknown}")
@@ -216,7 +218,7 @@ def _manifest_velocity(**spec) -> TimeVelocity:
     return TimeVelocity.load(spec["path"])
 
 
-# velocity kind -> constructor, called with the rest of the spec
+# velocity kind -> constructor, which takes a seed if the kind draws from one
 _VELOCITY_KINDS = {
     "zero": zero_velocity,
     "random_smooth": random_smooth_velocity,
@@ -228,25 +230,27 @@ _VELOCITY_KINDS = {
 }
 
 
-def resolve_velocity(spec: dict):
+def resolve_velocity(spec: dict, seed: int | None = None):
     """Build velocity instances from a config dictionary.
 
-    A ``count`` key turns the spec into a list (seed advanced per case).
+    A ``count`` key gives a list of cases, equal ones for a kind that draws
+    no seed; otherwise ``seed`` replaces the spec's seed, advanced per case.
     """
     spec = dict(spec)
     count = spec.pop("count", None)
-    if count is not None:
-        if type(count) is not int or count < 1:
-            raise ValueError(f"count must be a positive integer, got {count!r}")
-        seed = spec.get("seed", 0)
-        out = []
-        for i in range(count):
-            case = dict(spec)
-            case["seed"] = seed + i
-            out.append(resolve_velocity(case))
-        return out
+    if count is not None and (type(count) is not int or count < 1):
+        raise ValueError(f"count must be a positive integer, got {count!r}")
     kind = spec.pop("kind", None)
     if not isinstance(kind, str) or kind not in _VELOCITY_KINDS:
         got = "none" if kind is None else repr(kind)
         raise ValueError(f"velocity kind must be one of {', '.join(_VELOCITY_KINDS)}; got {got}")
-    return _VELOCITY_KINDS[kind](**spec)
+    make = _VELOCITY_KINDS[kind]
+    seeded = "seed" in inspect.signature(make).parameters
+    if seeded and seed is not None:
+        spec["seed"] = seed
+    try:
+        if count is None:
+            return make(**spec)
+        return [make(**({**spec, "seed": spec.get("seed", 0) + i} if seeded else spec)) for i in range(count)]
+    except TypeError as exc:
+        raise TypeError(f"velocity kind {kind!r}: {exc}") from exc

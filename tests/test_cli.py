@@ -69,6 +69,56 @@ def test_evolve_zero_velocity(tmp_path):
     assert path.field_at(0.5).sup_seminorm() == 0.0
 
 
+def _files(out):
+    return {path.relative_to(out): path.read_bytes() for path in out.rglob("*") if path.is_file()}
+
+
+def test_seed_flag_leaves_a_seedless_kind_alone(tmp_path):
+    cfg = write_cfg(tmp_path, {"velocity": {"kind": "zero", "grid": 12}})
+    trees = []
+    for i, flag in enumerate([[], ["--seed", "3"]]):
+        out = tmp_path / f"out{i}"
+        assert main(["evolve", "--config", cfg, "--out", str(out)] + flag) == EXIT_OK
+        trees.append(_files(out))
+    assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "zero", "grid": 12},
+    {"kind": "rotation_plateau", "grid": 12},
+    {"kind": "translation_plateau", "grid": 12},
+    {"kind": "constant_torus", "v": [0.1, 0.2], "grid": 6},
+])
+def test_count_of_a_seedless_kind_gives_equal_cases(tmp_path, spec):
+    first, second = resolve_velocity({**spec, "count": 2}, seed=3)
+    for a, b in zip(first.fields, second.fields):
+        assert np.array_equal(a.coeffs, b.coeffs)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {"velocity": {**spec, "count": 2}})
+    assert main(["evolve", "--config", cfg, "--out", str(out), "--seed", "3"]) == EXIT_OK
+    cases = [[{**r, "case": ""} for r in read_csv(out / "residuals.csv") if r["case"] == c] for c in "01"]
+    assert cases[0] and cases[0] == cases[1]
+
+
+def test_seed_entry_on_a_seedless_kind_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {"velocity": {"kind": "zero", "grid": 12, "seed": 3}})
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "velocity kind 'zero'" in err and "'seed'" in err
+    assert not (out / "failure.json").exists()
+
+
+def test_render_of_a_velocity_that_is_not_2d_is_a_config_error(tmp_path, capsys, monkeypatch):
+    solves = []
+    monkeypatch.setattr(cli, "evolve", lambda *a, **kw: solves.append(a))
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {"velocity": {"kind": "zero", "dim": 1, "grid": 12}})
+    assert main(["evolve", "--config", cfg, "--out", str(out), "--render"]) == EXIT_CONFIG
+    assert "--render draws 2-d velocities only, got dimension 1" in capsys.readouterr().err
+    assert solves == [] and not (out / "failure.json").exists()
+
+
 def test_evolve_with_oracle_and_render(tmp_path):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, {

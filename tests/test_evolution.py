@@ -239,19 +239,42 @@ def test_march_agrees_with_global_sweep_and_certifies_itself(monkeypatch, case):
             assert diag.residual_bound == pytest.approx(bound, rel=1e-15)
 
 
-def test_march_work_on_the_compact_fixture(monkeypatch):
-    """The rows the march of the compact local_evolve fixture evaluates,
-    certificate included.  The count is deterministic: a rise means blocks
-    need more iterations of `_T` than the extrapolated start gives them."""
+def _evaluated_rows(monkeypatch):
+    """The number of cells of every velocity evaluation made from now on."""
     rows = []
     eval_cells = TimeVelocity.eval_cells
     monkeypatch.setattr(TimeVelocity, "eval_cells",
                         lambda self, cells, pts: rows.append(cells.size) or eval_cells(self, cells, pts))
+    return rows
+
+
+def test_march_work_on_the_compact_fixture(monkeypatch):
+    """The rows the march of the compact local_evolve fixture evaluates; the
+    certificate costs none.  The count is deterministic: a rise means blocks
+    need more iterations of `_T` than the extrapolated start gives them."""
+    rows = _evaluated_rows(monkeypatch)
     # one march, split uniformly at FINEST_DT
     monkeypatch.setattr(evolution, "COARSEST_DT", evolution.FINEST_DT)
     local_evolve(random_smooth_velocity(7, grid=24, cells=3, target_bound=0.4), tol=1e-11)
-    # 1044 rows when every block started from its previous block's last velocity held constant
-    assert sum(rows) <= 560
+    # 1044 rows when every block started from its previous block's last
+    # velocity held constant, 560 with a whole-grid certificate sweep
+    assert sum(rows) == 302
+
+
+@pytest.mark.parametrize("case", ["local_evolve", "picard_points"])
+def test_march_evaluates_one_block_at_a_time(monkeypatch, case):
+    """No whole-grid sweep: every velocity evaluation inside a march covers
+    at most one block of `MARCH_BLOCK` refined cells."""
+    rows = _evaluated_rows(monkeypatch)
+    gamma = random_smooth_velocity(7, grid=24, cells=3, target_bound=0.4)
+    xs = np.array([[0.45, 0.55], [0.62, 0.38]])
+    solve = {
+        "local_evolve": lambda: local_evolve(gamma, tol=1e-11),
+        "picard_points": lambda: picard_points(gamma, xs, tol=1e-11),
+    }[case]
+    # both evaluate velocities inside their marches only
+    _, calls = _marches(monkeypatch, solve)
+    assert calls and rows and max(rows) <= evolution.MARCH_BLOCK
 
 
 @pytest.mark.parametrize("same", [4, 3, 2, 1, 0])
@@ -336,12 +359,14 @@ def test_time_error_is_inf_below_three_cells_per_velocity_cell(gamma):
 
 
 #: sha256 of the knots, start and stacked density coefficients of evolve
-#: with every window split uniformly to 1/256 of the original time, taken
-#: when that uniform split was the only split (numpy 2.4, x86-64)
+#: with every window split uniformly to 1/256 of the original time (numpy
+#: 2.4, x86-64), taken when the march returned T of the knots its blocks
+#: last read; the coefficients then moved by at most 1.5e-12, 5.2e-12 and
+#: 5.3e-12 from those of one more whole-grid sweep
 _UNIFORM_DIGESTS = {
-    "compact": "a4f40daf6bd4a6549fb6b2a01c3dfb0d2b604d02219e0d1c7eebdc660c248f84",
-    "compact_windows": "9a8d450d8a841a0ef68df7eec1883603e67cf134d73c341624bdbd08028afa56",
-    "torus": "1dcae78f2bb86640dda6823b0ca1e4384074803654afdab45025a2cd685fc2e6",
+    "compact": "f43192c48d773c044c7d0b2edcb12b9d0f1faa5e62a63cedba6ee48dde89d913",
+    "compact_windows": "e8410aebba4b5b15156ad70d2de1727544d9766fe0a320517d36631a3069c9eb",
+    "torus": "8280378a3fe2beaf273c95f5111a3424ff042742691f3c707a8e296bbbe7e0e2",
 }
 
 
@@ -369,9 +394,10 @@ def test_local_evolve_zero_is_neutral():
     res = local_evolve(gamma)
     assert res.residual == 0.0
     assert not np.any(res.path.stacked.coeffs)
-    # the march converges at once: one block sweep and the certificate
+    # the march converges at once: one block sweep, and the certificate
+    # reads the velocities that sweep evaluated
     diag = res.segments[0]
-    assert (diag.iterations, diag.last_change, diag.contraction, diag.residual_bound) == (2, 0.0, 0.0, 0.0)
+    assert (diag.iterations, diag.last_change, diag.contraction, diag.residual_bound) == (1, 0.0, 0.0, 0.0)
     assert diag.time_error == 0.0 and diag.resolves == 0
     assert res.path.grid.ncells == 16
 
