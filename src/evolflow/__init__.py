@@ -6,7 +6,6 @@ from .lp_space import (
     Seminorm,
     euclidean,
     lp_seminorm,
-    ess_sup_seminorm,
     weak_integral,
 )
 from .ac_path import (

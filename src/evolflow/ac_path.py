@@ -21,7 +21,7 @@ from .lp_space import (
     Seminorm,
     TimeGrid,
     lp_seminorm,
-    weak_integral,
+    step_primitive,
 )
 
 __all__ = [
@@ -136,11 +136,12 @@ class SmoothMap:
 
 def ac_eval(path: AcPath, t: float) -> np.ndarray:
     """start + exact integral of the density up to t."""
-    return path.start + weak_integral(path.density, path.a, t)
+    return ac_eval_many(path, [t])[0]
 
 
 def ac_eval_many(path: AcPath, times) -> np.ndarray:
-    return np.stack([ac_eval(path, float(t)) for t in np.asarray(times, dtype=float)])
+    """start + exact integral of the density up to each time, (times, m)."""
+    return path.start + step_primitive(path.density.grid, path.density.values, times)
 
 
 def ac_phi(path: AcPath) -> tuple[np.ndarray, LpSample]:

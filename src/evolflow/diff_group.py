@@ -11,11 +11,11 @@ with one spline resampling per product.  The same code drives the periodic
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lp_space import TimeGrid
+from .lp_space import TimeGrid, lp_norm, step_primitive
 from .vector_field import _SplineField, load_manifest, save_manifest, vf_compose_displacement
 
 __all__ = [
@@ -78,7 +78,6 @@ class GroupPath:
     grid: TimeGrid
     stacked: _SplineField
     start: _SplineField | None = None
-    _cum: np.ndarray | None = dc_field(default=None, repr=False)
 
     def __post_init__(self):
         ncomp, d = self.stacked.ncomp, self.stacked.dimension
@@ -97,28 +96,11 @@ class GroupPath:
         """The density coefficients as a view of shape spatial + (ncells, d)."""
         return self.stacked.coeffs.reshape(self.stacked.shape + (self.grid.ncells, -1))
 
-    @property
-    def density(self) -> list:
-        """The density of each time cell as a field of its own (a copy)."""
-        cells = self._cells()
-        return [self.stacked.with_coeffs(cells[..., i, :].copy()) for i in range(self.grid.ncells)]
-
-    def _cumulative(self) -> np.ndarray:
-        """Displacement coefficients at the knots, spatial + (ncells + 1, d)."""
-        if self._cum is None:
-            steps = self._cells() * self.grid.widths()[:, None]
-            cum = np.zeros(steps.shape[:-2] + (steps.shape[-2] + 1, steps.shape[-1]))
-            np.cumsum(steps, axis=-2, out=cum[..., 1:, :])
-            self._cum = cum + self.start.coeffs[..., None, :]
-        return self._cum
-
     def coeffs_at(self, times) -> np.ndarray:
-        """Displacement coefficients at the times, spatial + (times, d), exact:
-        the cumulative coefficients at the knot before plus the partial cell."""
-        times = np.asarray(times, dtype=float)
-        i = self.grid.cell_of(times)
-        partial = (times - self.grid.knots[i])[:, None]
-        return np.take(self._cumulative(), i, axis=-2) + partial * np.take(self._cells(), i, axis=-2)
+        """Displacement coefficients at the times, spatial + (times, d), exact
+        (`step_primitive` of the density from the start)."""
+        cells = np.moveaxis(self._cells(), -2, 0)
+        return np.moveaxis(step_primitive(self.grid, cells, times, self.start.coeffs), 0, -2)
 
     def field_at(self, t: float) -> _SplineField:
         """Displacement field of the path at time t."""
@@ -179,8 +161,4 @@ def group_path_distance(pa: GroupPath, pb: GroupPath, p: float = 1.0, div: int =
     a, b = np.array(keys).T
     norms = dict(zip(keys, _batched_cr_norms(pa.stacked, pa._cells()[..., a, :] - pb._cells()[..., b, :], div)))
     per_cell = np.array([norms[c] for c in cells])
-    if np.isinf(p):
-        dens_d = float(np.max(per_cell))
-    else:
-        dens_d = float(np.sum(grid.widths() * per_cell**p) ** (1.0 / p))
-    return float(start_d) + dens_d
+    return float(start_d) + lp_norm(grid.widths(), per_cell, p)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .ac_path import ContinuousTrace
 from .diff_group import GroupPath, d_rho, group_path_distance, star
-from .lp_space import GridError, TimeGrid
+from .lp_space import GridError, TimeGrid, lp_norm, step_cumulative, step_primitive
 from .vector_field import _SplineField, load_manifest, resampling_estimate, save_manifest
 from ._parallel import ordered_thread_map
 
@@ -110,12 +110,15 @@ class TimeVelocity:
         return self.fields[self.grid.cell_of(t)]
 
     def eval_cells(self, cells: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Velocities at pts (R, ..., d): row r by the field of cell cells[r]."""
+        """Velocities at pts (R, ..., d): row r by the field of cell cells[r],
+        with at most `MARCH_BLOCK` rows per ``eval`` call to bound its memory."""
         out = np.empty_like(pts)
-        for ci in np.unique(cells):
-            rows = np.flatnonzero(cells == ci)
-            vals = self.fields[ci].eval(pts[rows].reshape(-1, self.dimension))
-            out[rows] = vals.reshape((rows.size,) + pts.shape[1:])
+        for lo in range(0, len(cells), MARCH_BLOCK):
+            block = cells[lo:lo + MARCH_BLOCK]
+            for ci in np.unique(block):
+                rows = lo + np.flatnonzero(block == ci)
+                vals = self.fields[ci].eval(pts[rows].reshape(-1, self.dimension))
+                out[rows] = vals.reshape((rows.size,) + pts.shape[1:])
         return out
 
     def window(self, n: int, k: int) -> tuple[TimeGrid, list[int]]:
@@ -214,16 +217,7 @@ def _T(gamma: TimeVelocity, cells, w, anchors, offsets, zeta):
     new knot values and those midpoint velocities (K-1, S, d).
     """
     g = gamma.eval_cells(cells, 0.5 * (zeta[:-1] + zeta[1:]) + offsets)
-    return _integrate(w, anchors, g), g
-
-
-def _integrate(w, anchors, g):
-    """Knot values anchors + cumsum(w * g) of midpoint velocities g (K-1, S, d)."""
-    new = np.empty((g.shape[0] + 1,) + g.shape[1:])
-    new[0] = anchors
-    np.cumsum(w[:, None, None] * g, axis=0, out=new[1:])
-    new[1:] += anchors
-    return new
+    return step_cumulative(w, g, anchors), g
 
 
 def apply_T(gamma: TimeVelocity, x, zeta: ContinuousTrace) -> ContinuousTrace:
@@ -238,7 +232,7 @@ def apply_T(gamma: TimeVelocity, x, zeta: ContinuousTrace) -> ContinuousTrace:
 
 def contraction_bound(gamma: TimeVelocity) -> float:
     """The L^1 budget: sum of cell width times alpha of the cell field."""
-    return float(np.sum(gamma.grid.widths() * gamma.alpha_values()))
+    return lp_norm(gamma.grid.widths(), gamma.alpha_values(), 1.0)
 
 
 def _check_L_max(L_max: float) -> None:
@@ -325,7 +319,7 @@ def _picard_march(gamma, grid, cellmap, anchors, offsets, tol, max_iter):
                 f"(t in [{grid.knots[lo]:.6g}, {grid.knots[hi]:.6g}]; last change {change:.3g}, tol={tol})"
             )
         start = new[-1]
-    new = _integrate(w, anchors, g)
+    new = step_cumulative(w, g, anchors)
     certificate = float(np.max(np.abs(new - zeta)))
     return new, g, -(-evaluations // ncells), certificate
 
@@ -441,14 +435,7 @@ def local_evolve(
 def window_budgets(gamma: TimeVelocity, n: int) -> np.ndarray:
     """The budget of each window k of n: the integral of alpha(gamma(s))
     over [k/n, (k+1)/n], exact for the step curve of cell alphas."""
-    knots = gamma.grid.knots
-    alphas = gamma.alpha_values()
-    budgets = np.empty(n)
-    for k in range(n):
-        lo_c = np.clip(knots[:-1], k / n, (k + 1) / n)
-        hi_c = np.clip(knots[1:], k / n, (k + 1) / n)
-        budgets[k] = np.sum((hi_c - lo_c) * alphas)
-    return budgets
+    return np.diff(step_primitive(gamma.grid, gamma.alpha_values(), np.arange(n + 1) / n))
 
 
 def choose_subdivision(gamma: TimeVelocity, L_max: float = DEFAULT_L_MAX) -> int:

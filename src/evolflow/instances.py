@@ -209,8 +209,7 @@ def random_trace(rng, ncells: int, dim: int, box=(0.2, 0.8)) -> ContinuousTrace:
 
 
 def _manifest_velocity(**spec) -> TimeVelocity:
-    # a seed entry is accepted and ignored, so configs that name one still load
-    unknown = sorted(set(spec) - {"path", "seed"})
+    unknown = sorted(set(spec) - {"path"})
     if unknown:
         raise ValueError(f"velocity kind 'manifest' takes only a 'path' entry, not {unknown}")
     if "path" not in spec:

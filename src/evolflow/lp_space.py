@@ -5,6 +5,11 @@ strictly increasing time grids.  Step functions admit exact quadrature, exact
 subdivision and exact common refinements, which keeps the downstream property
 checks free of quadrature error.  Piecewise-linear curves are
 `ac_path.ContinuousTrace`.
+
+Step functions with values of any trailing shape are integrated one way,
+at the knots (`step_cumulative`: the Picard march) or at any times
+(`step_primitive`: group and AC paths, the window budgets), and measured one
+way (`lp_norm`: the contraction budget and both path distances).
 """
 
 from __future__ import annotations
@@ -22,8 +27,10 @@ __all__ = [
     "Seminorm",
     "euclidean",
     "lp_seminorm",
-    "ess_sup_seminorm",
     "weak_integral",
+    "step_cumulative",
+    "step_primitive",
+    "lp_norm",
 ]
 
 
@@ -191,26 +198,42 @@ class LpSample:
         return LpSample(self.grid, s * self.values, self.p)
 
 
-def lp_seminorm(f: LpSample, q: Seminorm, p: float | None = None) -> float:
-    """(integral of q(f)^p)^(1/p), exact for step functions.  p = inf falls
-    back to the essential sup."""
-    p = f.p if p is None else p
+def step_cumulative(widths, values, start=0.0) -> np.ndarray:
+    """start + the integral of the step function with cell widths (M,) and
+    values (M, ...) up to each knot: cumsum(widths * values), then + start."""
+    values = np.asarray(values, dtype=float)
+    steps = np.reshape(widths, (-1,) + (1,) * (values.ndim - 1)) * values
+    out = np.zeros((steps.shape[0] + 1,) + steps.shape[1:])
+    np.cumsum(steps, axis=0, out=out[1:])
+    out += start
+    return out
+
+
+def step_primitive(grid: TimeGrid, values, times, start=0.0) -> np.ndarray:
+    """start + the exact integral up to each time of the step function with
+    cell values (M, ...): its cell's knot value plus the partial cell."""
+    values = np.asarray(values, dtype=float)
+    times = np.asarray(times, dtype=float)
+    i = grid.cell_of(times)
+    partial = np.reshape(times - grid.knots[i], np.shape(i) + (1,) * (values.ndim - 1))
+    return step_cumulative(grid.widths(), values, start)[i] + partial * values[i]
+
+
+def lp_norm(widths, norms, p: float) -> float:
+    """L^p norm of a step function from its cell norms; their max at p = inf."""
     if np.isinf(p):
-        return ess_sup_seminorm(f, q)
-    return float(np.sum(f.grid.widths() * q(f.values) ** p) ** (1.0 / p))
+        return float(np.max(norms))
+    return float(np.sum(widths * norms**p) ** (1.0 / p))
 
 
-def ess_sup_seminorm(f: LpSample, q: Seminorm) -> float:
-    """Essential sup of q(f): the max over cells."""
-    return float(np.max(q(f.values)))
+def lp_seminorm(f: LpSample, q: Seminorm, p: float | None = None) -> float:
+    """(integral of q(f)^p)^(1/p), exact for step functions; the ess sup at p = inf."""
+    return lp_norm(f.grid.widths(), q(f.values), f.p if p is None else p)
 
 
 def weak_integral(f: LpSample, t0: float, t1: float) -> np.ndarray:
     """Exact integral of the step function over [t0, t1]."""
     if t0 > t1:
         raise GridError("t0 must not exceed t1")
-    if t0 < f.grid.a or t1 > f.grid.b:
-        raise GridError("integration limits outside the sample interval")
-    lo = np.clip(f.grid.knots[:-1], t0, t1)
-    hi = np.clip(f.grid.knots[1:], t0, t1)
-    return (hi - lo) @ f.values
+    at_t0, at_t1 = step_primitive(f.grid, f.values, [t0, t1])
+    return at_t1 - at_t0

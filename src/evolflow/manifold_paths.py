@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ac_path import AcPath, ac_eval
+from .ac_path import AcPath, ac_eval, ac_eval_many
 from .lp_space import GridError, LpSample, TimeGrid
 
 __all__ = [
@@ -161,7 +161,7 @@ def _require_torus(path: ManifoldAcPath):
 def _check_inside(section_paths, rho: float):
     for _, seg in section_paths:
         knots = seg.density.grid.knots
-        vals = np.stack([ac_eval(seg, t) for t in knots])
+        vals = ac_eval_many(seg, knots)
         if np.max(np.abs(vals)) >= rho:
             t_bad = knots[int(np.argmax(np.max(np.abs(vals), axis=1)))]
             raise ValueError(f"section leaves the chart domain near t={t_bad}")
@@ -245,9 +245,9 @@ def section_embed(sigma: SectionTuple, partition, charts) -> tuple:
 def _scale_section(piece: AcPath, base: AcPath, src: str, dst: str) -> AcPath:
     grid = piece.density.grid.refine(base.density.grid)
     mids = grid.midpoints()
-    u_mid = np.stack([ac_eval(base, t) for t in mids])
+    u_mid = ac_eval_many(base, mids)
     du_mid = base.density.eval_many(mids)
-    tau_mid = np.stack([ac_eval(piece, t) for t in mids])
+    tau_mid = ac_eval_many(piece, mids)
     dtau_mid = piece.density.eval_many(mids)
     m_mid = circle_transition_derivative(src, dst, u_mid)
     # second derivative of the transition: d/du(-1/u^2) = 2/u^3

@@ -37,6 +37,13 @@ def stack_fields(fields):
     return fields[0].with_coeffs(np.concatenate([f.coeffs for f in fields], axis=-1))
 
 
+def unstack(path):
+    """The density of each time cell of a group path as a field of its own:
+    the inverse of `stack_fields`."""
+    cells = path.stacked.coeffs.reshape(path.stacked.shape + (path.grid.ncells, -1))
+    return [path.stacked.with_coeffs(cells[..., i, :].copy()) for i in range(path.grid.ncells)]
+
+
 def lattice_points(f, div: int) -> np.ndarray:
     """The points of ``f.on_lattice(div)``, built apart from it: grid
     coordinates i/div, i < div*n, on each axis of n nodes, in C order."""

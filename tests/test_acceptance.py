@@ -169,7 +169,7 @@ def _declared_tolerance(results) -> float:
     density resampling estimate propagated through the path distance."""
     tol = 0.0
     for res in results:
-        h = res.path.density[0].h
+        h = res.path.stacked.h
         for seg in res.segments:
             tol += seg.residual_bound + seg.resample_estimate * (1.0 + 2.0 / h)
     return tol

@@ -73,13 +73,25 @@ def _files(out):
     return {path.relative_to(out): path.read_bytes() for path in out.rglob("*") if path.is_file()}
 
 
-def test_seed_flag_leaves_a_seedless_kind_alone(tmp_path):
-    cfg = write_cfg(tmp_path, {"velocity": {"kind": "zero", "grid": 12}})
+def _trees_without_and_with_seed_flag(tmp_path, spec):
+    cfg = write_cfg(tmp_path, {"velocity": spec})
     trees = []
     for i, flag in enumerate([[], ["--seed", "3"]]):
-        out = tmp_path / f"out{i}"
+        out = tmp_path / f"{spec['kind']}{i}"
         assert main(["evolve", "--config", cfg, "--out", str(out)] + flag) == EXIT_OK
         trees.append(_files(out))
+    return trees
+
+
+def test_seed_flag_leaves_a_seedless_kind_alone(tmp_path):
+    trees = _trees_without_and_with_seed_flag(tmp_path, {"kind": "zero", "grid": 12})
+    assert trees[0] == trees[1]
+
+
+def test_manifest_velocity_accepts_a_seed(tmp_path):
+    # only the --seed flag: a seed entry written into a manifest spec is a config error
+    zero_velocity(grid=12).save(tmp_path, "v")
+    trees = _trees_without_and_with_seed_flag(tmp_path, {"kind": "manifest", "path": str(tmp_path / "v.json")})
     assert trees[0] == trees[1]
 
 
@@ -101,12 +113,18 @@ def test_count_of_a_seedless_kind_gives_equal_cases(tmp_path, spec):
 
 
 def test_seed_entry_on_a_seedless_kind_is_a_config_error(tmp_path, capsys):
-    out = tmp_path / "out"
-    cfg = write_cfg(tmp_path, {"velocity": {"kind": "zero", "grid": 12, "seed": 3}})
-    assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "velocity kind 'zero'" in err and "'seed'" in err
-    assert not (out / "failure.json").exists()
+    zero_velocity(grid=12).save(tmp_path, "v")
+    specs = {
+        "zero": {"kind": "zero", "grid": 12, "seed": 3},
+        "manifest": {"kind": "manifest", "path": str(tmp_path / "v.json"), "seed": 5},
+    }
+    for kind, spec in specs.items():
+        out = tmp_path / f"out_{kind}"
+        cfg = write_cfg(tmp_path, {"velocity": spec})
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"velocity kind '{kind}'" in err and "'seed'" in err
+        assert not (out / "failure.json").exists()
 
 
 def test_render_of_a_velocity_that_is_not_2d_is_a_config_error(tmp_path, capsys, monkeypatch):
@@ -343,18 +361,11 @@ def test_bad_manifest_velocity_spec_is_a_config_error(tmp_path, capsys, case):
     if case == "missing_path":
         del spec["path"], spec["grid"]
     out = tmp_path / "out"
-    # --seed writes a seed into the spec, which the manifest kind accepts
     argv = ["evolve", "--config", write_cfg(tmp_path, {"velocity": spec}), "--out", str(out), "--seed", "3"]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert ("not ['grid']" if case == "unknown_key" else "needs a 'path' entry") in err
     assert not (out / "failure.json").exists()
-
-
-def test_manifest_velocity_accepts_a_seed(tmp_path):
-    zero_velocity(grid=12).save(tmp_path, "v")
-    cfg = write_cfg(tmp_path, {"velocity": {"kind": "manifest", "path": str(tmp_path / "v.json"), "seed": 5}})
-    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "3"]) == EXIT_OK
 
 
 @pytest.mark.parametrize("p", [float("nan"), 0.5, -1.0, 0.0])

@@ -18,7 +18,7 @@ from evolflow.diff_group import (
 from evolflow.instances import plateau_weight, random_plateau_field
 from evolflow.lp_space import TimeGrid
 from evolflow.vector_field import CompactField, PeriodicField, resampling_estimate, save_field, spectral_norms
-from conftest import displaced, lattice_points, stack_fields
+from conftest import displaced, lattice_points, stack_fields, unstack
 
 
 def plateau_translation_1d(a: float, grid: int = 129) -> CompactField:
@@ -204,7 +204,7 @@ def test_path_save_load(tmp_path, phi, psi):
     assert np.array_equal(back.grid.knots, grid.knots)
     assert np.array_equal(back.start.coeffs, path.start.coeffs)
     assert np.array_equal(back.stacked.coeffs, path.stacked.coeffs)
-    for f, g in zip(back.density, [phi, psi]):
+    for f, g in zip(unstack(back), [phi, psi]):
         assert np.array_equal(f.coeffs, g.coeffs)
 
 
@@ -258,8 +258,8 @@ def test_distance_matches_per_cell_definition(phi, psi, chi):
     grid = ga.grid.refine(gb.grid)
     expect = cr_seminorm(ga.start - gb.start)
     for t, w in zip(grid.midpoints(), grid.widths()):
-        da = ga.density[ga.grid.cell_of(t)]
-        db = gb.density[gb.grid.cell_of(t)]
+        da = unstack(ga)[ga.grid.cell_of(t)]
+        db = unstack(gb)[gb.grid.cell_of(t)]
         expect += w * cr_seminorm(da - db)
     assert got == pytest.approx(expect, rel=1e-12, abs=1e-15)
 

@@ -34,7 +34,8 @@ from evolflow.instances import (
     zero_velocity,
 )
 from evolflow.lp_space import LpSample, TimeGrid, euclidean, lp_seminorm
-from conftest import displaced, stack_fields
+from evolflow.vector_field import _SplineField
+from conftest import displaced, stack_fields, unstack
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +278,17 @@ def test_march_evaluates_one_block_at_a_time(monkeypatch, case):
     assert calls and rows and max(rows) <= evolution.MARCH_BLOCK
 
 
+def test_residual_evaluates_one_block_of_rows_per_call(gamma, monkeypatch):
+    """`residual` evaluates the velocity at every refined knot of the path,
+    but no single `eval` call takes more than `MARCH_BLOCK` rows of nodes."""
+    res = evolve(gamma, forced_n=2)
+    points = []
+    plain = _SplineField.eval
+    monkeypatch.setattr(_SplineField, "eval", lambda self, pts: points.append(len(pts)) or plain(self, pts))
+    assert res.residual < 1e-3
+    assert points and max(points) <= evolution.MARCH_BLOCK * len(gamma.proto.nodes())
+
+
 @pytest.mark.parametrize("same", [4, 3, 2, 1, 0])
 def test_predict_is_exact_for_the_polynomial_of_its_history(rng, same):
     """History cells [0, 4), block [4, 8), on uneven widths: the last
@@ -459,7 +471,7 @@ def test_residual_of_solution_is_small(gamma):
     assert res.residual < 1e-3
     # a deliberately wrong path has a visibly larger defect
     bad = res.path
-    bad_scaled = type(bad)(bad.grid, stack_fields([f.scaled(0.5) for f in bad.density]), bad.start)
+    bad_scaled = type(bad)(bad.grid, stack_fields([f.scaled(0.5) for f in unstack(bad)]), bad.start)
     assert residual(gamma, bad_scaled) > 10.0 * res.residual
 
 
@@ -470,7 +482,7 @@ def _evolve_per_cell(gamma, n):
     coeffs = []
     for k in range(n):
         seg = local_evolve(gamma.subdivide(n, k), finest_dt=evolution.FINEST_DT * n)
-        for D in seg.path.density:
+        for D in unstack(seg.path):
             coeffs.append((D if k == 0 else d_rho(A, D)).scaled(float(n)).coeffs)
         A = star(seg.path.end(), A)
     return coeffs
@@ -485,8 +497,8 @@ def test_evolve_density_matches_per_cell_gluing(case):
         gamma, n = random_smooth_velocity(5, grid=16, cells=2, target_bound=0.6), 8
     res = evolve(gamma, forced_n=n)
     ref = _evolve_per_cell(gamma, n)
-    assert len(res.path.density) == len(ref)
-    assert all(np.array_equal(D.coeffs, c) for D, c in zip(res.path.density, ref))
+    assert len(unstack(res.path)) == len(ref)
+    assert all(np.array_equal(D.coeffs, c) for D, c in zip(unstack(res.path), ref))
 
 
 def test_evolve_with_one_window_is_local_evolve(gamma):

@@ -1,10 +1,12 @@
-"""Step-function L^p calculus: seminorms, weak integrals, and subdivision
-of a velocity curve's step function of cell budgets."""
+"""Step-function L^p calculus: the primitive and the norm, seminorms, weak
+integrals, and subdivision of a velocity curve's step function of cell
+budgets."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from evolflow.ac_path import AcPath, ac_eval, ac_eval_many
 from evolflow.evolution import TimeVelocity, contraction_bound, window_budgets
 from evolflow.lp_space import (
     DimensionMismatchError,
@@ -12,9 +14,10 @@ from evolflow.lp_space import (
     LpSample,
     Seminorm,
     TimeGrid,
-    ess_sup_seminorm,
     euclidean,
     lp_seminorm,
+    step_cumulative,
+    step_primitive,
     weak_integral,
 )
 from evolflow.vector_field import CompactField
@@ -107,10 +110,46 @@ def test_weighted_seminorm():
 # -- ess sup -----------------------------------------------------------------
 
 def test_ess_sup_examples():
-    assert ess_sup_seminorm(const_sample([3.0, 4.0]), EUC) == pytest.approx(5.0)
+    assert lp_seminorm(const_sample([3.0, 4.0]), EUC, p=np.inf) == pytest.approx(5.0)
     f = step_sample([1.0, 0.0], [0.0, -2.0])
-    assert ess_sup_seminorm(f, EUC) == pytest.approx(2.0)
     assert lp_seminorm(f, EUC, p=np.inf) == pytest.approx(2.0)
+    assert lp_seminorm(step_sample([1.0, 0.0], [0.0, -2.0], p=np.inf), EUC) == pytest.approx(2.0)
+
+
+# -- the primitive -----------------------------------------------------------
+
+def clipped_integral(grid: TimeGrid, values: np.ndarray, t: float) -> np.ndarray:
+    """Reference: the integral of the step function from a to t as a sum
+    over every cell clipped to [a, t]."""
+    lo = np.clip(grid.knots[:-1], grid.a, t)
+    hi = np.clip(grid.knots[1:], grid.a, t)
+    return np.tensordot(hi - lo, values, axes=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.floats(-5.0, 5.0),
+    widths=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=8),
+    shape=st.sampled_from([(), (3,), (2, 2)]),
+    seed=st.integers(0, 10_000),
+)
+def test_step_primitive_is_the_exact_integral(a, widths, shape, seed):
+    r = np.random.default_rng(seed)
+    grid = TimeGrid(a + np.concatenate([[0.0], np.cumsum(widths)]))
+    values = r.normal(size=(grid.ncells,) + shape)
+    # a, every interior knot and b first, then times inside the cells
+    times = np.concatenate([grid.knots, r.uniform(grid.a, grid.b, size=6)])
+    got = step_primitive(grid, values, times)
+    assert got.shape == times.shape + shape
+    scale = float(np.sum(grid.widths() * np.max(np.abs(values.reshape(grid.ncells, -1)), axis=1)))
+    for t, g in zip(times, got):
+        assert np.max(np.abs(g - clipped_integral(grid, values, t))) <= 1e-14 * scale
+    assert np.array_equal(got[:grid.knots.size], step_cumulative(grid.widths(), values))
+    path = AcPath(r.normal(size=values[0].size), LpSample(grid, values.reshape(grid.ncells, -1)))
+    assert np.array_equal(ac_eval_many(path, times), np.stack([ac_eval(path, t) for t in times]))
+    for outside in (grid.a - 1e-3, grid.b + 1e-3):
+        with pytest.raises(GridError):
+            step_primitive(grid, values, [grid.a, outside])
 
 
 # -- weak_integral -----------------------------------------------------------
