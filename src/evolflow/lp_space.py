@@ -78,7 +78,8 @@ class TimeGrid:
         """Index of the cell containing t (right-closed at b): an int for a
         scalar time, an index array for an array of times."""
         times = np.asarray(t, dtype=float)
-        outside = (times < self.knots[0]) | (times > self.knots[-1])
+        # written so that a NaN time compares outside
+        outside = ~((times >= self.knots[0]) & (times <= self.knots[-1]))
         if np.any(outside):
             raise GridError(f"time {times[outside].flat[0]} outside [{self.a}, {self.b}]")
         i = np.clip(np.searchsorted(self.knots, times, side="right") - 1, 0, self.ncells - 1)

@@ -154,10 +154,10 @@ class _SplineField:
             offs = np.zeros(1, dtype=np.int64)
             for ax in range(d):
                 offs = (offs[:, None] + np.arange(4) * strides[ax]).ravel()
-            # numpy clips against a scalar bound several times faster than
-            # against a per-axis array, and most grids are cubic
+            # the compact clamp in `_grid_coords` runs several times faster
+            # against a scalar bound than a per-axis array; most grids are cubic
             n = self.shape[0] if len(set(self.shape)) == 1 else np.array(self.shape)
-            self._tab = (cpad.reshape(-1, self.ncomp), strides, offs, n)
+            self._tab = (cpad.reshape(-1, self.ncomp), strides.astype(float), offs, n)
         return self._tab
 
     def _gather(self, points) -> tuple[np.ndarray, np.ndarray]:
@@ -167,20 +167,18 @@ class _SplineField:
         cflat, strides, offs, n = self._table()
         u = self._grid_coords(points, n)
         ufl = np.floor(u)
-        frac = u - ufl
-        base = ufl.astype(np.int64)
-        # clamping after the cast keeps NaN points inside the table; two
-        # ufuncs, since np.clip checks integer bounds at a cost per call
-        np.minimum(np.maximum(base, 0, out=base), n, out=base)
-        return frac, np.take(cflat, (base @ strides)[:, None] + offs, axis=0)
+        # grid coordinates lie in [0, n], so every patch is inside the table;
+        # the clip keeps a NaN point's patch there too, and its weights are NaN
+        base = (ufl @ strides).astype(np.int64)
+        return u - ufl, np.take(cflat, base[:, None] + offs, axis=0, mode="clip")
 
     @staticmethod
     def _contract(ws, patch: np.ndarray) -> np.ndarray:
-        """Patch summed against the tensor product of per-axis weights."""
-        out = ws[0]
-        for w in ws[1:]:
-            out = (out[:, :, None] * w[:, None, :]).reshape(out.shape[0], -1)
-        return np.einsum("pk,pkc->pc", out, patch)
+        """Patch summed against the per-axis weights one axis at a time, the
+        leading stencil axis first: a tensor-product stencil is separable."""
+        for w in ws:
+            patch = np.einsum("pk,pkc->pc", w, patch.reshape(patch.shape[0], 4, -1))
+        return patch
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         frac, patch = self._gather(points)

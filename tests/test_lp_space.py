@@ -74,6 +74,23 @@ def test_grid_validation():
             g.cell_of(np.array(bad))
 
 
+def test_a_nan_time_lies_in_no_cell():
+    # NaN fails every comparison, so it must not pass as inside the grid
+    g = TimeGrid.uniform(0.0, 1.0, 4)
+    f = LpSample(g, np.arange(8.0).reshape(4, 2), 1.0)
+    calls = [
+        lambda: g.cell_of(np.nan),
+        lambda: g.cell_of(np.array([0.5, np.nan, 1.0])),
+        lambda: ac_eval(AcPath(np.zeros(2), f), np.nan),
+        lambda: ac_eval_many(AcPath(np.zeros(2), f), [0.0, np.nan]),
+        lambda: weak_integral(f, 0.0, np.nan),
+        lambda: weak_integral(f, np.nan, 0.5),
+    ]
+    for call in calls:
+        with pytest.raises(GridError, match=r"time nan outside \[0.0, 1.0\]"):
+            call()
+
+
 def test_grid_refine_is_union():
     g1 = TimeGrid(np.array([0.0, 0.3, 1.0]))
     g2 = TimeGrid(np.array([0.0, 0.5, 1.0]))

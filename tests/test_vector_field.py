@@ -91,27 +91,73 @@ def _scipy_eval(f, pts, mode):
     ], axis=1)
 
 
+def _random_field(rng, periodic, d, ncomp):
+    """A field of random coefficients on a grid of 9 to 11 nodes per axis,
+    with its mode for scipy and the corners of its box or period."""
+    if periodic:
+        f = PeriodicField(rng.normal(size=(10,) * d + (ncomp,)))
+        return f, "grid-wrap", f.lo, f.lo + 1.0
+    f = CompactField(np.array([0.2, -0.1, 0.3])[:d], 0.1, rng.normal(size=(11, 9, 10)[:d] + (ncomp,)))
+    return f, "grid-constant", f.lo, f.hi
+
+
+def _probe_points(rng, lo, hi):
+    """Interior points, points on each face and corner, just past the
+    corners, outside the box, and shifted by whole periods."""
+    d = lo.size
+    inside = rng.uniform(lo, hi, size=(40, d))
+    faces = inside[:4 * d].copy()
+    for ax in range(d):
+        faces[4 * ax:4 * ax + 2, ax], faces[4 * ax + 2:4 * ax + 4, ax] = lo[ax], hi[ax]
+    outside = inside[8:16].copy()
+    outside[:4, 0] += (hi - lo)[0] * rng.uniform(0.01, 1.5, size=4)
+    outside[4:, -1] -= (hi - lo)[-1] * rng.uniform(0.01, 1.5, size=4)
+    shifted = inside[16:24] + rng.integers(-3, 4, size=(8, d))
+    corners = np.array([lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)])
+    return np.concatenate([inside, faces, corners, outside, shifted])
+
+
 @pytest.mark.parametrize("periodic", [False, True])
 def test_eval_matches_scipy_spline(periodic, rng):
     # scipy's cubic B-spline evaluator on the same coefficients is an
     # independent implementation of the same tensor stencil
-    if periodic:
-        f, mode = PeriodicField(rng.normal(size=(10, 10, 2))), "grid-wrap"
-        lo, hi = f.lo, f.lo + 1.0
-    else:
-        f = CompactField(np.array([0.2, -0.1]), 0.1, rng.normal(size=(11, 9, 2)))
-        mode = "grid-constant"
-        lo, hi = f.lo, f.hi
-    inside = rng.uniform(lo, hi, size=(40, 2))
-    faces = inside[:8].copy()
-    faces[:2, 0], faces[2:4, 0], faces[4:6, 1], faces[6:, 1] = lo[0], hi[0], lo[1], hi[1]
-    outside = inside[8:16].copy()
-    outside[:4, 0] += (hi - lo)[0] * rng.uniform(0.01, 1.5, size=4)
-    outside[4:, 1] -= (hi - lo)[1] * rng.uniform(0.01, 1.5, size=4)
-    shifted = inside[16:24] + rng.integers(-3, 4, size=(8, 2))
-    corners = np.array([lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)])
-    pts = np.concatenate([inside, faces, corners, outside, shifted])
-    assert np.max(np.abs(f.eval(pts) - _scipy_eval(f, pts, mode))) <= 1e-14
+    for d in (1, 2, 3):
+        for ncomp in (1, 2, 7):
+            f, mode, lo, hi = _random_field(rng, periodic, d, ncomp)
+            pts = _probe_points(rng, lo, hi)
+            err = np.max(np.abs(f.eval(pts) - _scipy_eval(f, pts, mode)))
+            assert err <= 1e-14, (d, ncomp, err)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_stacked_components_evaluate_as_each_slice_alone(periodic, rng):
+    # gluing evaluates the cells of a window stacked on the component axis
+    # and relies on each cell's values being the bits of that cell alone.
+    # Slices have two or more components: einsum sums a lone output column
+    # in another order, so a one-component field differs at round-off.
+    for d in (1, 2, 3):
+        f, _, lo, hi = _random_field(rng, periodic, d, 7)
+        pts = _probe_points(rng, lo, hi)
+        vals, jacs = f.eval(pts), f.jacobian(pts)
+        for sl in (slice(0, 2), slice(2, 5), slice(5, 7)):
+            alone = f.with_coeffs(f.coeffs[..., sl])
+            assert np.array_equal(alone.eval(pts), vals[:, sl]), (d, sl)
+            assert np.array_equal(alone.jacobian(pts), jacs[:, sl]), (d, sl)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_nan_point_gives_a_nan_row(periodic, rng):
+    # a NaN point's patch is clipped into the table, and its weights make
+    # the row NaN; the other points of the call keep their values
+    f, _, lo, hi = _random_field(rng, periodic, 2, 3)
+    pts = rng.uniform(lo, hi, size=(6, 2))
+    pts[1, 0], pts[4] = np.nan, np.nan
+    ok = np.isfinite(pts).all(axis=1)
+    for kernel in (f.eval, f.jacobian):
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in cast"):
+            out = kernel(pts)
+        assert np.all(np.isnan(out[~ok]))
+        assert np.array_equal(out[ok], kernel(pts[ok]))
 
 
 @settings(max_examples=40, deadline=None)
