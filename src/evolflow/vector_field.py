@@ -17,7 +17,6 @@ import struct
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "CompactField",
@@ -37,6 +36,9 @@ ALPHA_SAFETY = 1.05
 
 #: lattice refinement (points per grid cell and axis) for the alpha estimate.
 ALPHA_DIV = 4
+
+#: lines of node values per BLAS call of the prefilter
+PREFILTER_LINES = 64
 
 _MAGIC = b"CFLD"
 
@@ -77,6 +79,39 @@ def _lattice_weights(n: int, div: int, der: bool) -> np.ndarray:
     out[i[:, None], i[:, None] // div + np.arange(4)] = (_dweights if der else _weights)(i % div / div)
     out.flags.writeable = False
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _prefilter_matrix(n: int, wrap: bool) -> np.ndarray:
+    """Read-only inverse of the (1, 4, 1)/6 matrix taking n cubic coefficients
+    to their node values: circulant with ``wrap``, else with mirrored end rows."""
+    eye = np.eye(n)
+    if wrap:
+        # summed rolls, so that 1 and 2 nodes couple to themselves and each other
+        m = 4.0 * eye + np.roll(eye, 1, axis=1) + np.roll(eye, -1, axis=1)
+    else:
+        m = 4.0 * eye + np.eye(n, k=1) + np.eye(n, k=-1)
+        m[0, 1] = m[-1, -2] = 2.0
+    out = np.linalg.inv(m / 6.0)
+    out.flags.writeable = False
+    return out
+
+
+def _filter_leading(x: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """``inv`` applied along the leading axis of x, that axis moved to the end.
+
+    The lines along the axis go to BLAS in zero-padded blocks of
+    `PREFILTER_LINES`, so every call has one shape: a line's result does not
+    depend on how many lines share the array (a lone line would take a
+    matrix-vector kernel, and few lines a small-matrix one).
+    """
+    n, rest = x.shape[0], x.shape[1:]
+    flat = x.reshape(n, -1)
+    lines = flat.shape[1]
+    if lines % PREFILTER_LINES:
+        flat = np.concatenate([flat, np.zeros((n, -lines % PREFILTER_LINES))], axis=1)
+    out = flat.reshape(n, -1, PREFILTER_LINES).transpose(1, 2, 0) @ inv.T
+    return out.reshape(-1, n)[:lines].reshape(rest + (n,))
 
 
 def spectral_norms(mats: np.ndarray) -> np.ndarray:
@@ -142,11 +177,16 @@ class _SplineField:
     # -- evaluation --------------------------------------------------------
     def _table(self):
         """Padded coefficients flattened over space, strides, patch offsets,
-        and the node count per axis."""
+        and the node count per axis.  A lone component is paired with a zero
+        column, as einsum sums a lone output column in another order than
+        each column of a wider one; `eval` and `jacobian` drop it."""
         if getattr(self, "_tab", None) is None:
             d = self.dimension
+            coeffs = self.coeffs
+            if self.ncomp == 1:
+                coeffs = np.concatenate([coeffs, np.zeros_like(coeffs)], axis=-1)
             # u = n still reads inside: the periodic wrap can round onto it
-            cpad = np.pad(self.coeffs, [(1, 3)] * d + [(0, 0)], mode=self._MODE)
+            cpad = np.pad(coeffs, [(1, 3)] * d + [(0, 0)], mode=self._MODE)
             spatial = cpad.shape[:-1]
             strides = np.ones(d, dtype=np.int64)
             for ax in range(d - 2, -1, -1):
@@ -157,12 +197,12 @@ class _SplineField:
             # the compact clamp in `_grid_coords` runs several times faster
             # against a scalar bound than a per-axis array; most grids are cubic
             n = self.shape[0] if len(set(self.shape)) == 1 else np.array(self.shape)
-            self._tab = (cpad.reshape(-1, self.ncomp), strides.astype(float), offs, n)
+            self._tab = (cpad.reshape(-1, cpad.shape[-1]), strides.astype(float), offs, n)
         return self._tab
 
     def _gather(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Fractional grid coordinates (P, d) and the 4^d coefficient patch
-        (P, 4^d, ncomp) around each point."""
+        (P, 4^d, columns of the table) around each point."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         cflat, strides, offs, n = self._table()
         u = self._grid_coords(points, n)
@@ -183,7 +223,10 @@ class _SplineField:
     def eval(self, points: np.ndarray) -> np.ndarray:
         frac, patch = self._gather(points)
         W = _weights(frac)  # (P, d, 4)
-        return self._contract([W[:, ax] for ax in range(self.dimension)], patch)
+        out = self._contract([W[:, ax] for ax in range(self.dimension)], patch)
+        # only a lone component has a zero partner to drop: slicing every
+        # result costs the RK4 oracle's 50-point calls about 1%
+        return out[:, :1] if self.coeffs.shape[-1] == 1 else out
 
     def jacobian(self, points: np.ndarray) -> np.ndarray:
         frac, patch = self._gather(points)
@@ -194,25 +237,30 @@ class _SplineField:
             self._contract([dW[:, ax] if ax == der else W[:, ax] for ax in range(d)], patch)
             for der in range(d)
         ]
-        return np.stack(cols, axis=2)
+        out = np.stack(cols, axis=2)
+        return out[:, :1] if self.coeffs.shape[-1] == 1 else out
 
     def with_values(self, values: np.ndarray) -> "_SplineField":
         """Interpolate node values, with any number of components, on this
         geometry.
 
-        One 1-d filter pass per spatial axis covers every component, with
-        the same per-line arithmetic as ``ndimage.spline_filter`` on each
-        component alone.
+        Along each spatial axis it solves (c[i-1] + 4 c[i] + c[i+1]) / 6 = v[i]
+        for the coefficients c, by one product with the cached inverse (the
+        cubic B-spline prefilter): circulant on the torus, and on a compact
+        grid with mirrored end rows, c[-1] = c[1] and c[n] = c[n-2], which is
+        the system ndimage's "grid-constant" prefilter solves.  `eval` reads
+        zeros past a compact grid instead, so there the coefficients
+        reproduce the node values only away from the margin.  Each component
+        gets the bits it would get alone.
         """
         values = np.asarray(values, dtype=float)
         if values.shape[:-1] != self.shape:
             raise ValueError(f"node values of shape {values.shape} do not fit the grid {self.shape}")
-        coeffs = np.empty_like(values)
-        src = values
-        for ax in range(self.dimension):
-            ndimage.spline_filter1d(src, order=3, axis=ax, output=coeffs, mode="grid-" + self._MODE)
-            src = coeffs
-        return self.with_coeffs(coeffs)
+        coeffs = values
+        for n in self.shape:
+            # contracting the leading axis appends it at the end
+            coeffs = _filter_leading(coeffs, _prefilter_matrix(n, self._MODE == "wrap"))
+        return self.with_coeffs(np.ascontiguousarray(np.moveaxis(coeffs, 0, -1)))
 
     # -- lattices and seminorms -------------------------------------------
     def nodes(self) -> np.ndarray:
@@ -228,11 +276,11 @@ class _SplineField:
         per axis.  A periodic lattice stops before 1, which repeats 0; compact
         points past the last node read only zero-margin layers, so they are
         exact zeros.  ``on_lattice(1)`` is the node values."""
-        out = self._table()[0].reshape(tuple(n + 4 for n in self.shape) + (self.ncomp,))
+        out = self._table()[0].reshape(tuple(n + 4 for n in self.shape) + (-1,))
         for ax, n in enumerate(self.shape):
             # contracting the leading axis appends the lattice axis at the end
             out = np.tensordot(out, _lattice_weights(n, div, ax == der), axes=(0, 1))
-        out = np.moveaxis(out, 0, -1).reshape(-1, self.ncomp)
+        out = np.moveaxis(out, 0, -1).reshape(-1, out.shape[0])[:, :self.ncomp]
         return out if der is None else out / self.h
 
     def lattice_sups(self, div: int, group: int) -> tuple[np.ndarray, np.ndarray]:

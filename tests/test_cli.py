@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -473,6 +477,30 @@ def test_continuity_study_small(tmp_path):
     dists = [float(r["distance"]) for r in rows]
     assert len(dists) == 3
     assert dists[1] <= 1.1 * dists[0] and dists[2] <= 1.1 * dists[1]
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test oracle only: importing evolflow and running evolve and
+    # continuity-study in a fresh process loads no scipy module
+    evolve_cfg = write_cfg(tmp_path, {"velocity": {"kind": "random_smooth", "seed": 8, "grid": 16, "cells": 2,
+                                                   "target_bound": 0.25}}, "evolve.json")
+    torus = {"kind": "random_smooth_torus", "grid": 12, "cells": 2}
+    study_cfg = write_cfg(tmp_path, {"velocity": {**torus, "seed": 8, "target_bound": 0.25},
+                                     "perturbation": {**torus, "seed": 9, "target_bound": 0.01}, "levels": 2},
+                          "study.json")
+    script = (
+        "import sys\n"
+        "import evolflow\n"
+        "from evolflow.cli import main\n"
+        f"assert main(['evolve', '--config', {evolve_cfg!r}, '--out', {str(tmp_path / 'e')!r}]) == 0\n"
+        f"assert main(['continuity-study', '--config', {study_cfg!r}, '--out', {str(tmp_path / 'c')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(evolution.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_property_check(tmp_path):

@@ -132,14 +132,12 @@ def test_eval_matches_scipy_spline(periodic, rng):
 @pytest.mark.parametrize("periodic", [False, True])
 def test_stacked_components_evaluate_as_each_slice_alone(periodic, rng):
     # gluing evaluates the cells of a window stacked on the component axis
-    # and relies on each cell's values being the bits of that cell alone.
-    # Slices have two or more components: einsum sums a lone output column
-    # in another order, so a one-component field differs at round-off.
+    # and relies on each cell's values being the bits of that cell alone
     for d in (1, 2, 3):
         f, _, lo, hi = _random_field(rng, periodic, d, 7)
         pts = _probe_points(rng, lo, hi)
         vals, jacs = f.eval(pts), f.jacobian(pts)
-        for sl in (slice(0, 2), slice(2, 5), slice(5, 7)):
+        for sl in (slice(0, 1), slice(1, 3), slice(3, 6), slice(6, 7)):
             alone = f.with_coeffs(f.coeffs[..., sl])
             assert np.array_equal(alone.eval(pts), vals[:, sl]), (d, sl)
             assert np.array_equal(alone.jacobian(pts), jacs[:, sl]), (d, sl)
@@ -297,24 +295,57 @@ def test_with_values_interpolates_interior_nodes(random_field):
     assert np.max(np.abs(inner - ginner)) < 1e-11
 
 
+def _value_grids(periodic, ncomp=1):
+    """Zero fields of ``ncomp`` components on the grids the prefilter is
+    checked on: d = 1, 2, 3, up to 40 nodes on an axis, and periodic grids
+    of 1 to 4 nodes."""
+    if periodic:
+        sizes = [(n,) * d for d in (1, 2, 3) for n in (1, 2, 3, 4)] + [(12,), (40,), (12, 12), (33, 33), (8, 8, 8)]
+        return [PeriodicField(np.zeros(s + (ncomp,))) for s in sizes]
+    sizes = [(5,), (11,), (40,), (11, 9), (33, 32), (5, 6, 7), (11, 9, 10)]
+    return [CompactField.zero(np.linspace(0.2, -0.1, len(s)), 0.1, s, ncomp) for s in sizes]
+
+
 @pytest.mark.parametrize("ncomp", [2, 128])
 @pytest.mark.parametrize("periodic", [False, True])
 def test_with_values_matches_per_component_filter(periodic, ncomp, rng):
-    # reference: scipy's n-d prefilter on each component alone
-    if periodic:
-        f = PeriodicField(np.zeros((12, 12, ncomp)))
-    else:
-        f = CompactField.zero(np.array([0.2, -0.1]), 0.1, (11, 9), ncomp)
     # node values may hold any number of components, such as the 256 cells
-    # of 2 components that a path's density stacks
-    for nvals in (ncomp, 512):
-        vals = rng.normal(size=f.shape + (nvals,))
-        ref = np.empty_like(vals)
-        for c in range(nvals):
-            ref[..., c] = ndimage.spline_filter(vals[..., c], order=3, mode="grid-" + f._MODE)
+    # of 2 components that a path's density stacks; gluing relies on each
+    # slice getting the bits it gets alone, one-component slices included
+    for f in _value_grids(periodic, ncomp):
+        for nvals in (ncomp, 512):
+            vals = rng.normal(size=f.shape + (nvals,))
+            g = f.with_values(vals)
+            assert g.ncomp == nvals
+            for lo, hi in [(0, 1), (1, 2), (0, 2), (3, 6), (nvals - 1, nvals)]:
+                if hi <= nvals:
+                    alone = f.with_values(vals[..., lo:hi])
+                    assert np.array_equal(alone.coeffs, g.coeffs[..., lo:hi]), (f.shape, nvals, lo, hi)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_with_values_solves_the_node_system(periodic, rng):
+    # sampled at the nodes, the coefficients give back the node values: the
+    # (1, 4, 1)/6 system, circulant on the torus; a compact field whose
+    # outer layers are zero never reads its mirrored end rows
+    for f in _value_grids(periodic):
+        src = f.with_coeffs(rng.normal(size=f.shape + (3,)))
+        vals = src.eval(src.nodes()).reshape(f.shape + (3,))
         g = f.with_values(vals)
-        assert g.ncomp == nvals
-        assert np.array_equal(g.coeffs, f.with_coeffs(ref).coeffs)
+        res = np.max(np.abs(g.eval(g.nodes()).reshape(vals.shape) - vals))
+        assert res <= 1e-14 * np.max(np.abs(vals)), (f.shape, res)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_with_values_matches_scipy_prefilter(periodic, rng):
+    # scipy's recursive prefilter solves the same system: on a compact grid
+    # its "grid-constant" mode reads mirrored end rows, not zeros
+    for f in _value_grids(periodic):
+        vals = rng.normal(size=f.shape + (3,))
+        ref = np.stack([ndimage.spline_filter(vals[..., c], order=3, mode="grid-" + f._MODE) for c in range(3)], -1)
+        ref = f.with_coeffs(ref).coeffs
+        err = np.max(np.abs(f.with_values(vals).coeffs - ref))
+        assert err <= 1e-14 * np.max(np.abs(ref)), (f.shape, err)
 
 
 @pytest.mark.parametrize("periodic", [False, True])
