@@ -183,14 +183,7 @@ def ac_superpose(f: SmoothMap, path: AcPath, subdivisions: int = 1) -> AcPath:
     The new density is df(eta(t_mid)) . eta'(t_mid) per cell of the density
     grid, optionally uniformly subdivided; the start is f(eta(a)).
     """
-    knots = path.density.grid.knots
-    if subdivisions > 1:
-        pieces = [
-            np.linspace(knots[i], knots[i + 1], subdivisions + 1)[:-1]
-            for i in range(knots.size - 1)
-        ]
-        knots = np.append(np.concatenate(pieces), knots[-1])
-    grid = TimeGrid(knots)
+    grid = path.density.grid.split([subdivisions] * path.density.grid.ncells)[0]
     mids = grid.midpoints()
     pts = ac_eval_many(path, mids)
     if f.domain is not None and not np.all(f.domain(pts)):

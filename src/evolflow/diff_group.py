@@ -29,12 +29,18 @@ __all__ = [
 ]
 
 
+#: iterations of `inverse` before it gives up
+INVERSE_MAX_ITER = 500
+#: lattice refinement (points per grid cell and axis) of `group_path_distance`
+DISTANCE_DIV = 2
+
+
 def star(phi: _SplineField, psi: _SplineField) -> _SplineField:
     """Group product psi + phi o (id + psi) of displacement fields, on psi's class and geometry."""
     return psi + vf_compose_displacement(phi, psi)
 
 
-def inverse(phi: _SplineField, tol: float = 1e-10, max_iter: int = 500) -> _SplineField:
+def inverse(phi: _SplineField, tol: float = 1e-10) -> _SplineField:
     """Displacement field of (id + phi)^-1, on phi's class and geometry: the
     fixed point of psi = -phi o (id + psi), solved by iteration.
 
@@ -45,7 +51,7 @@ def inverse(phi: _SplineField, tol: float = 1e-10, max_iter: int = 500) -> _Spli
         raise ValueError(f"inverse needs alpha < 1, got {a:.4g}")
     nodes = phi.nodes()
     vals = -phi.eval(nodes)
-    for _ in range(max_iter):
+    for _ in range(INVERSE_MAX_ITER):
         new = -phi.eval(nodes + vals)
         change = float(np.max(np.abs(new - vals)))
         vals = new
@@ -131,34 +137,22 @@ def load_group_path(manifest_path) -> GroupPath:
         raise ValueError(f"{manifest_path}: {exc}") from exc
 
 
-def _batched_cr_norms(proto: _SplineField, coeffs: np.ndarray, div: int) -> np.ndarray:
-    """The C^r sup-seminorm sup |F| + sup ||DF||_op on a sampling lattice (no
-    safety factor) of each field F on proto's geometry with coefficients
-    coeffs[..., i, :].
-
-    Fields are sampled in chunks stacked on the component axis, to bound memory.
-    """
-    count, d = coeffs.shape[-2:]
-    out = np.empty(count)
-    chunk = max(1, 32 // d)
-    for k0 in range(0, count, chunk):
-        part = coeffs[..., k0 : k0 + chunk, :]
-        sup_f, sup_df = proto.with_coeffs(part.reshape(proto.shape + (-1,))).lattice_sups(div, d)
-        out[k0 : k0 + part.shape[-2]] = sup_f + sup_df
-    return out
-
-
-def group_path_distance(pa: GroupPath, pb: GroupPath, p: float = 1.0, div: int = 2) -> float:
+def group_path_distance(pa: GroupPath, pb: GroupPath, p: float = 1.0) -> float:
     """C^r sup distance of the starts plus the L^p distance of the densities
-    under the C^r sup-seminorm, on the common time refinement."""
+    under the C^r sup-seminorm (sup |F| + sup ||DF||_op on the lattice of
+    `DISTANCE_DIV`, no safety factor), on the common time refinement."""
     pa.stacked._check_geometry(pb.stacked)
     grid = pa.grid.refine(pb.grid)
     mids = grid.midpoints()
-    start_d = _batched_cr_norms(pa.start, (pa.start.coeffs - pb.start.coeffs)[..., None, :], div)[0]
+    d = pa.stacked.dimension
+    start_d = np.add(*(pa.start - pb.start).lattice_sups(DISTANCE_DIV, d))[0]
     cells = list(zip(pa.grid.cell_of(mids).tolist(), pb.grid.cell_of(mids).tolist()))
     # dedupe: coarse cells repeat across the common refinement
     keys = list(dict.fromkeys(cells))
     a, b = np.array(keys).T
-    norms = dict(zip(keys, _batched_cr_norms(pa.stacked, pa._cells()[..., a, :] - pb._cells()[..., b, :], div)))
+    # np.take keeps the differences in C order, so the reshape below is a view
+    diffs = np.take(pa._cells(), a, axis=-2) - np.take(pb._cells(), b, axis=-2)
+    stacked = pa.stacked.with_coeffs(diffs.reshape(pa.stacked.shape + (-1,)))
+    norms = dict(zip(keys, np.add(*stacked.lattice_sups(DISTANCE_DIV, d))))
     per_cell = np.array([norms[c] for c in cells])
     return float(start_d) + lp_norm(grid.widths(), per_cell, p)

@@ -75,6 +75,8 @@ SUBDIVISION_LIMIT = 1 << 16
 MARCH_BLOCK = 4
 #: consecutive iterations of a block whose change does not fall before Picard gives up
 STAGNATION_ITERATIONS = 2
+#: iterations of a block before Picard gives up
+PICARD_MAX_ITER = 200
 
 
 @dataclass
@@ -135,14 +137,7 @@ class TimeVelocity:
 
     def refined(self, max_dt: float) -> tuple[TimeGrid, np.ndarray]:
         """Uniformly split cells to width <= max_dt; returns grid + cell map."""
-        knots = [self.grid.knots[0]]
-        cellmap = []
-        for i in range(self.grid.ncells):
-            t0, t1 = self.grid.knots[i], self.grid.knots[i + 1]
-            m = max(1, int(np.ceil((t1 - t0) / max_dt - 1e-12)))
-            knots.extend(np.linspace(t0, t1, m + 1)[1:])
-            cellmap.extend([i] * m)
-        return TimeGrid(np.array(knots)), np.array(cellmap)
+        return self.grid.split(np.maximum(1, np.ceil(self.grid.widths() / max_dt - 1e-12).astype(int)))
 
     def __add__(self, other: "TimeVelocity") -> "TimeVelocity":
         grid = self.grid.refine(other.grid)
@@ -272,7 +267,7 @@ def _predict(mids, w, cellmap, lo, hi, g):
     return np.cumsum(w[lo:hi, None, None] * np.tensordot(weights, g[-k:], axes=1), axis=0)
 
 
-def _picard_march(gamma, grid, cellmap, anchors, offsets, tol, max_iter):
+def _picard_march(gamma, grid, cellmap, anchors, offsets, tol):
     """The discrete fixed point of `_T`, marched in time, and its certificate.
 
     ``anchors`` (S, d) are the integration starting values; ``offsets``
@@ -302,7 +297,7 @@ def _picard_march(gamma, grid, cellmap, anchors, offsets, tol, max_iter):
         block[1:] = start if lo == 0 else start + _predict(mids, w, cellmap, lo, hi, g[lo - MARCH_BLOCK:lo])
         change = np.inf
         stalled = 0
-        for it in range(1, max_iter + 1):
+        for it in range(1, PICARD_MAX_ITER + 1):
             new, g[lo:hi] = _T(gamma, cellmap[lo:hi], w[lo:hi], start, offsets, block)
             prev, change = change, float(np.max(np.abs(new[1:] - block[1:])))
             evaluations += hi - lo
@@ -313,7 +308,7 @@ def _picard_march(gamma, grid, cellmap, anchors, offsets, tol, max_iter):
             block[1:] = new[1:]
         if not change < tol:
             why = (f"stagnated: the change has not fallen for {stalled} iterations"
-                   if stalled == STAGNATION_ITERATIONS else f"did not reach tol in {max_iter} iterations")
+                   if stalled == STAGNATION_ITERATIONS else f"did not reach tol in {PICARD_MAX_ITER} iterations")
             raise RuntimeError(
                 f"Picard iteration {why}, at iteration {it} of the block of refined cells [{lo}, {hi}) "
                 f"(t in [{grid.knots[lo]:.6g}, {grid.knots[hi]:.6g}]; last change {change:.3g}, tol={tol})"
@@ -346,7 +341,7 @@ def _time_error(g, w, cellmap, L):
     return TIME_ERROR_SAFETY / (1.0 - L) * total
 
 
-def _budgeted_march(gamma, anchors, offsets, L, tol, max_iter, finest_dt):
+def _budgeted_march(gamma, anchors, offsets, L, tol, finest_dt):
     """`_picard_march` on cells of width ``max(COARSEST_DT, finest_dt)``,
     halved and marched again, down to ``finest_dt``, while the declared time
     error (`_time_error`) exceeds `TIME_ERROR_BUDGET`; at ``finest_dt`` it
@@ -356,7 +351,7 @@ def _budgeted_march(gamma, anchors, offsets, L, tol, max_iter, finest_dt):
     resolves = 0
     while True:
         grid, cellmap = gamma.refined(dt)
-        zeta, g, iters, change = _picard_march(gamma, grid, cellmap, anchors, offsets, tol, max_iter)
+        zeta, g, iters, change = _picard_march(gamma, grid, cellmap, anchors, offsets, tol)
         time_error = _time_error(g, grid.widths(), cellmap, L)
         if time_error <= TIME_ERROR_BUDGET or dt <= finest_dt:
             break
@@ -368,14 +363,14 @@ def _budgeted_march(gamma, anchors, offsets, L, tol, max_iter, finest_dt):
     return grid, zeta, g, diag
 
 
-def picard_points(gamma: TimeVelocity, xs: np.ndarray, tol: float = 1e-12, max_iter: int = 200):
+def picard_points(gamma: TimeVelocity, xs: np.ndarray, tol: float = 1e-12):
     """Batched fixed-point trajectories for several start points, on the
     budgeted split: (grid, knot values (T+1, S, d), densities (T, S, d), diag).
     """
     L = contraction_bound(gamma)
     _check_budget(L, 1.0, "subdivide first")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    return _budgeted_march(gamma, xs, 0.0, L, tol, max_iter, FINEST_DT)
+    return _budgeted_march(gamma, xs, 0.0, L, tol, FINEST_DT)
 
 
 # -- reference integrator --------------------------------------------------
@@ -411,7 +406,6 @@ def local_evolve(
     gamma: TimeVelocity,
     L_max: float = DEFAULT_L_MAX,
     tol: float = 1e-11,
-    max_iter: int = 200,
     finest_dt: float = FINEST_DT,
 ) -> EvolutionResult:
     """Evolution inside the contraction ball: one Picard solve for every
@@ -422,7 +416,7 @@ def local_evolve(
     _check_budget(L, L_max, "use evolve(), with a larger forced_n or none")
     proto = gamma.proto
     nodes = proto.nodes()
-    grid, zeta, g, diag = _budgeted_march(gamma, np.zeros_like(nodes), nodes, L, tol, max_iter, finest_dt)
+    grid, zeta, g, diag = _budgeted_march(gamma, np.zeros_like(nodes), nodes, L, tol, finest_dt)
     # node values of all cells side by side on the component axis; the knot
     # values and velocities are released before the filter allocates
     values = np.moveaxis(g, 0, 1).reshape(proto.shape + (-1,))
@@ -457,7 +451,6 @@ def evolve(
     L_max: float = DEFAULT_L_MAX,
     forced_n: int | None = None,
     tol: float = 1e-11,
-    max_iter: int = 200,
 ) -> EvolutionResult:
     """Global evolution: subdivide, solve each segment locally, glue by
     right translation.  A window of n spans 1/n of the original time, so its
@@ -480,7 +473,7 @@ def evolve(
         grid, cells = gamma.window(n, k)
         key = (grid.knots.tobytes(), tuple(cells))
         if key not in solved:
-            solved[key] = local_evolve(gamma.subdivide(n, k), L_max, tol, max_iter, FINEST_DT * n)
+            solved[key] = local_evolve(gamma.subdivide(n, k), L_max, tol, FINEST_DT * n)
         seg = solved[key]
         segments.append(seg.segments[0])
         seg_knots = (seg.path.grid.knots + k) / n

@@ -97,6 +97,12 @@ class TimeGrid:
             raise GridError("extra knots outside interval")
         return TimeGrid(np.union1d(self.knots, extra))
 
+    def split(self, counts) -> tuple["TimeGrid", np.ndarray]:
+        """Cell i cut into counts[i] equal cells: the new grid and the cell
+        of this grid that each new cell lies in."""
+        cuts = [np.linspace(t0, t1, m + 1)[1:] for t0, t1, m in zip(self.knots[:-1], self.knots[1:], counts)]
+        return TimeGrid(np.concatenate([self.knots[:1]] + cuts)), np.repeat(np.arange(self.ncells), counts)
+
     def subdivided(self, n: int, k: int) -> "TimeGrid":
         """Knots of window k of n of [0,1], mapped affinely back to [0,1]:
         the preimages of this grid's knots inside [k/n, (k+1)/n]."""

@@ -37,8 +37,8 @@ ALPHA_SAFETY = 1.05
 #: lattice refinement (points per grid cell and axis) for the alpha estimate.
 ALPHA_DIV = 4
 
-#: lines of node values per BLAS call of the prefilter
-PREFILTER_LINES = 64
+#: lines per BLAS call of `_along_axes`
+BLAS_LINES = 64
 
 _MAGIC = b"CFLD"
 
@@ -97,21 +97,25 @@ def _prefilter_matrix(n: int, wrap: bool) -> np.ndarray:
     return out
 
 
-def _filter_leading(x: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """``inv`` applied along the leading axis of x, that axis moved to the end.
+def _along_axes(x: np.ndarray, mats) -> np.ndarray:
+    """Each (m, n) matrix of ``mats`` applied along its spatial axis of x
+    (spatial shape + (components,)): shape (m_1, ..., m_d, components).
 
-    The lines along the axis go to BLAS in zero-padded blocks of
-    `PREFILTER_LINES`, so every call has one shape: a line's result does not
-    depend on how many lines share the array (a lone line would take a
-    matrix-vector kernel, and few lines a small-matrix one).
+    The lines along an axis go to BLAS in zero-padded blocks of `BLAS_LINES`,
+    so every product has one shape: a line's result does not depend on how
+    many lines share the array (a lone line would take a matrix-vector
+    kernel, and few lines a small-matrix one).
     """
-    n, rest = x.shape[0], x.shape[1:]
-    flat = x.reshape(n, -1)
-    lines = flat.shape[1]
-    if lines % PREFILTER_LINES:
-        flat = np.concatenate([flat, np.zeros((n, -lines % PREFILTER_LINES))], axis=1)
-    out = flat.reshape(n, -1, PREFILTER_LINES).transpose(1, 2, 0) @ inv.T
-    return out.reshape(-1, n)[:lines].reshape(rest + (n,))
+    for mat in mats:
+        n, rest = x.shape[0], x.shape[1:]
+        flat = x.reshape(n, -1)
+        lines = flat.shape[1]
+        if lines % BLAS_LINES:
+            flat = np.concatenate([flat, np.zeros((n, -lines % BLAS_LINES))], axis=1)
+        # contracting the leading axis appends the new one at the end
+        out = flat.reshape(n, -1, BLAS_LINES).transpose(1, 2, 0) @ mat.T
+        x = out.reshape(-1, mat.shape[0])[:lines].reshape(rest + mat.shape[:1])
+    return np.moveaxis(x, 0, -1)
 
 
 def spectral_norms(mats: np.ndarray) -> np.ndarray:
@@ -248,19 +252,17 @@ class _SplineField:
         for the coefficients c, by one product with the cached inverse (the
         cubic B-spline prefilter): circulant on the torus, and on a compact
         grid with mirrored end rows, c[-1] = c[1] and c[n] = c[n-2], which is
-        the system ndimage's "grid-constant" prefilter solves.  `eval` reads
-        zeros past a compact grid instead, so there the coefficients
-        reproduce the node values only away from the margin.  Each component
+        the system ndimage's "grid-constant" prefilter solves.  A compact
+        field then zeroes its outer ``margin`` coefficient layers, so for any
+        node values it reproduces them on every node at least ``margin + 1``
+        layers in, and misses by O(1) one layer further out.  Each component
         gets the bits it would get alone.
         """
         values = np.asarray(values, dtype=float)
         if values.shape[:-1] != self.shape:
             raise ValueError(f"node values of shape {values.shape} do not fit the grid {self.shape}")
-        coeffs = values
-        for n in self.shape:
-            # contracting the leading axis appends it at the end
-            coeffs = _filter_leading(coeffs, _prefilter_matrix(n, self._MODE == "wrap"))
-        return self.with_coeffs(np.ascontiguousarray(np.moveaxis(coeffs, 0, -1)))
+        coeffs = _along_axes(values, [_prefilter_matrix(n, self._MODE == "wrap") for n in self.shape])
+        return self.with_coeffs(np.ascontiguousarray(coeffs))
 
     # -- lattices and seminorms -------------------------------------------
     def nodes(self) -> np.ndarray:
@@ -272,23 +274,31 @@ class _SplineField:
 
     def on_lattice(self, div: int, der: int | None = None) -> np.ndarray:
         """Values, or the derivative along axis ``der``, at grid coordinates
-        i/div, i < div*n, on each axis of n nodes, in C order, by one tensordot
-        per axis.  A periodic lattice stops before 1, which repeats 0; compact
-        points past the last node read only zero-margin layers, so they are
-        exact zeros.  ``on_lattice(1)`` is the node values."""
-        out = self._table()[0].reshape(tuple(n + 4 for n in self.shape) + (-1,))
-        for ax, n in enumerate(self.shape):
-            # contracting the leading axis appends the lattice axis at the end
-            out = np.tensordot(out, _lattice_weights(n, div, ax == der), axes=(0, 1))
-        out = np.moveaxis(out, 0, -1).reshape(-1, out.shape[0])[:, :self.ncomp]
+        i/div, i < div*n, on each axis of n nodes, in C order, by one
+        `_along_axes` product.  A periodic lattice stops before 1, which
+        repeats 0; compact points past the last node read only zero-margin
+        layers, so they are exact zeros.  ``on_lattice(1)`` is the node values."""
+        table = self._table()[0][:, :self.ncomp]
+        mats = [_lattice_weights(n, div, ax == der) for ax, n in enumerate(self.shape)]
+        out = _along_axes(table.reshape(tuple(n + 4 for n in self.shape) + (-1,)), mats).reshape(-1, self.ncomp)
         return out if der is None else out / self.h
 
     def lattice_sups(self, div: int, group: int) -> tuple[np.ndarray, np.ndarray]:
-        """sup |F| and sup ||DF||_op on ``on_lattice(div)`` per ``group`` components."""
-        m, d = self.ncomp // group, self.dimension
-        vals = self.on_lattice(div).reshape(-1, m, group)
-        jacs = np.stack([self.on_lattice(div, ax) for ax in range(d)], axis=-1).reshape(-1, m, group, d)
-        return np.linalg.norm(vals, axis=2).max(axis=0), spectral_norms(jacs).max(axis=0)
+        """sup |F| and sup ||DF||_op on ``on_lattice(div)`` per ``group``
+        components, sampled ``max(1, 32 // group)`` groups at a time to bound
+        memory."""
+        d, step = self.dimension, max(1, 32 // group) * group
+        sup_f, sup_df = [], []
+        for lo in range(0, self.ncomp, step):
+            part = self if step >= self.ncomp else self.with_coeffs(self.coeffs[..., lo:lo + step])
+            vals = part.on_lattice(div)
+            jacs = np.stack([part.on_lattice(div, ax) for ax in range(d)], axis=-1)
+            m = part.ncomp // group
+            sup_f.append(np.linalg.norm(vals.reshape(-1, m, group), axis=2).max(axis=0))
+            sup_df.append(spectral_norms(jacs.reshape(-1, m, group, d)).max(axis=0))
+            # released before the next groups allocate their own
+            del vals, jacs
+        return np.concatenate(sup_f), np.concatenate(sup_df)
 
     def alpha(self) -> float:
         """Conservative estimate of sup ||DF||_op over R^n."""
@@ -296,8 +306,8 @@ class _SplineField:
             self._alpha = ALPHA_SAFETY * float(self.lattice_sups(ALPHA_DIV, self.ncomp)[1][0])
         return self._alpha
 
-    def sup_seminorm(self, div: int = ALPHA_DIV) -> float:
-        return float(self.lattice_sups(div, self.ncomp)[0][0])
+    def sup_seminorm(self) -> float:
+        return float(self.lattice_sups(ALPHA_DIV, self.ncomp)[0][0])
 
     # -- linear structure --------------------------------------------------
     def _check_geometry(self, other: "_SplineField"):

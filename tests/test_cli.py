@@ -176,6 +176,33 @@ def test_evolve_check_failure_exit_code(tmp_path):
     assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_CHECK
 
 
+def test_march_out_of_iterations_is_a_solver_failure(tmp_path, monkeypatch):
+    monkeypatch.setattr(evolution, "PICARD_MAX_ITER", 2)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {
+        "velocity": {"kind": "random_smooth", "seed": 3, "grid": 24, "cells": 2, "target_bound": 0.3},
+    })
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_SOLVER
+    error = json.loads((out / "failure.json").read_text())["error"]
+    assert "did not reach tol in 2 iterations" in error and "block of refined cells [0, 4)" in error
+
+
+def test_evolve_save_path_writes_every_case(tmp_path):
+    spec = {"kind": "random_smooth", "seed": 3, "grid": 12, "cells": 2, "target_bound": 0.3, "count": 2}
+    written = {}
+    for save in (True, False):
+        out = tmp_path / f"out_{save}"
+        cfg = write_cfg(tmp_path, {"velocity": spec, **({"save_path": True} if save else {})})
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        written[save] = sorted(p.name for p in out.glob("result_*"))
+        for case in range(2 if save else 0):
+            manifest = json.loads((out / f"result_{case:03d}.json").read_text())
+            assert manifest["path"] == f"result_{case:03d}_path/path.json"
+            path = load_group_path(out / manifest["path"])
+            assert path.stacked.shape == (12, 12) and path.grid.b == 1.0
+    assert written == {True: ["result_000.json", "result_000_path", "result_001.json", "result_001_path"], False: []}
+
+
 def test_solver_failure_writes_diagnostics(tmp_path, monkeypatch):
     # cell evaluations: the rows passed to eval_cells
     rows = []

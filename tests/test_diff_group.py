@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from evolflow import diff_group
 from evolflow.diff_group import (
     GroupPath,
     d_rho,
@@ -115,6 +116,12 @@ def test_inverse_law(phi):
     # the true inverse is not a spline, so the left product only closes up
     # to the interpolation error of the inverse displacement
     assert star(inv, phi).sup_seminorm() < 1e-3
+
+
+def test_inverse_out_of_iterations_names_the_last_change(phi, monkeypatch):
+    monkeypatch.setattr(diff_group, "INVERSE_MAX_ITER", 1)
+    with pytest.raises(RuntimeError, match=r"inverse did not converge \(last change [0-9.e+-]+\)"):
+        inverse(phi, tol=1e-13)
 
 
 def test_inverse_translation_core():

@@ -249,6 +249,15 @@ def _evaluated_rows(monkeypatch):
     return rows
 
 
+def test_march_out_of_iterations_names_the_block(monkeypatch):
+    # two sweeps shrink the change of the first block but leave it above tol
+    monkeypatch.setattr(evolution, "PICARD_MAX_ITER", 2)
+    gamma = random_smooth_velocity(7, grid=24, cells=3, target_bound=0.4)
+    block = r"of the block of refined cells \[0, 4\) \(t in \[0, [0-9.]+\]; last change [0-9.e-]+, tol=1e-11\)"
+    with pytest.raises(RuntimeError, match=r"did not reach tol in 2 iterations, at iteration 2 " + block):
+        local_evolve(gamma)
+
+
 def test_march_work_on_the_compact_fixture(monkeypatch):
     """The rows the march of the compact local_evolve fixture evaluates; the
     certificate costs none.  The count is deterministic: a rise means blocks

@@ -99,6 +99,16 @@ def test_grid_refine_is_union():
         g1.refine(TimeGrid(np.array([0.0, 2.0])))
 
 
+def test_grid_split_cuts_each_cell_evenly():
+    g = TimeGrid(np.array([0.0, 0.3, 0.5, 1.0]))
+    split, cells = g.split([1, 3, 2])
+    assert np.allclose(split.knots, [0.0, 0.3, 0.3 + 0.2 / 3, 0.3 + 0.4 / 3, 0.5, 0.75, 1.0], rtol=0, atol=1e-15)
+    # the old knots are kept bit for bit, and each new cell names its source
+    assert np.array_equal(split.knots[[0, 1, 4, 6]], g.knots)
+    assert cells.tolist() == [0, 1, 1, 1, 2, 2] and cells.dtype == np.int64
+    assert np.array_equal(g.cell_of(split.midpoints()), cells)
+
+
 # -- lp_seminorm -------------------------------------------------------------
 
 def test_seminorm_constant_is_pointwise_norm():

@@ -285,14 +285,18 @@ def test_margin_forces_zero_boundary_coeffs(rng):
     assert np.all(f.coeffs[:, :2] == 0.0) and np.all(f.coeffs[:, -2:] == 0.0)
 
 
-def test_with_values_interpolates_interior_nodes(random_field):
-    f = random_field
-    vals = f.eval(f.nodes()).reshape(f.shape + (2,))
-    g = f.with_values(vals)
-    # interpolation reproduces the sampled values away from the zero margin
-    inner = vals[8:-8, 8:-8]
-    ginner = g.eval(g.nodes()).reshape(g.shape + (2,))[8:-8, 8:-8]
-    assert np.max(np.abs(inner - ginner)) < 1e-11
+def test_with_values_interpolates_interior_nodes(rng):
+    # any node values come back on every node at least margin + 1 layers
+    # in, which read no zeroed coefficient; nearer the edge they do not
+    for d in (1, 2, 3):
+        for margin in (2, 3):
+            for shape in [(2 * margin + 3,) * d, (11, 9, 10)[:d], (17, 13, 12)[:d]]:
+                f = CompactField.zero(np.zeros(d), 0.1, shape, 2, margin)
+                vals = rng.normal(size=f.shape + (2,))
+                g = f.with_values(vals)
+                inner = (slice(margin + 1, -(margin + 1)),) * d
+                err = np.abs(g.eval(g.nodes()).reshape(vals.shape) - vals)
+                assert np.max(err[inner]) <= 1e-14 * np.max(np.abs(vals)), (shape, margin)
 
 
 def _value_grids(periodic, ncomp=1):
@@ -311,16 +315,22 @@ def _value_grids(periodic, ncomp=1):
 def test_with_values_matches_per_component_filter(periodic, ncomp, rng):
     # node values may hold any number of components, such as the 256 cells
     # of 2 components that a path's density stacks; gluing relies on each
-    # slice getting the bits it gets alone, one-component slices included
+    # slice getting the bits it gets alone, one-component slices included,
+    # and so do the lattice sups of a stacked distance
     for f in _value_grids(periodic, ncomp):
+        d = f.dimension
         for nvals in (ncomp, 512):
             vals = rng.normal(size=f.shape + (nvals,))
             g = f.with_values(vals)
             assert g.ncomp == nvals
+            lattices = {(div, der): g.on_lattice(div, der) for div, der in [(1, None), (2, None), (2, d - 1)]}
             for lo, hi in [(0, 1), (1, 2), (0, 2), (3, 6), (nvals - 1, nvals)]:
                 if hi <= nvals:
                     alone = f.with_values(vals[..., lo:hi])
                     assert np.array_equal(alone.coeffs, g.coeffs[..., lo:hi]), (f.shape, nvals, lo, hi)
+                    for (div, der), lattice in lattices.items():
+                        got = alone.on_lattice(div, der)
+                        assert np.array_equal(got, lattice[:, lo:hi]), (f.shape, nvals, lo, hi, div, der)
 
 
 @pytest.mark.parametrize("periodic", [False, True])
