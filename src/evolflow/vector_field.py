@@ -418,8 +418,9 @@ class PeriodicField(_SplineField):
         self.coeffs = coeffs
 
     def _grid_coords(self, points: np.ndarray, n) -> np.ndarray:
-        # mod(x, 1) rounds to 1.0 for x just below a whole period, so u = n
-        return np.mod(points, 1.0) / self.h
+        # the wrap rounds to 1.0 for x just below a whole period, so u = n;
+        # x - floor(x) is bit-identical to np.mod(x, 1.0) and several times faster
+        return (points - np.floor(points)) / self.h
 
     def with_coeffs(self, coeffs: np.ndarray) -> "PeriodicField":
         return PeriodicField(coeffs)

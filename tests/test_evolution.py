@@ -191,7 +191,7 @@ def _jump_velocity():
     return gamma.scaled(0.4 / contraction_bound(gamma))
 
 
-@pytest.mark.parametrize("case", ["compact_local_evolve", "compact_jump", "torus_window", "picard_points"])
+@pytest.mark.parametrize("case", ["compact_local_evolve", "compact_jump", "torus_window", "led_torus_window", "picard_points"])
 def test_march_agrees_with_global_sweep_and_certifies_itself(monkeypatch, case):
     tol = 1e-11
     if case in ("compact_local_evolve", "compact_jump"):
@@ -209,6 +209,15 @@ def test_march_agrees_with_global_sweep_and_certifies_itself(monkeypatch, case):
         # two windows over four cells: no window repeats, one march each
         gamma = random_smooth_torus_velocity(11, grid=12, cells=4, target_bound=0.6)
         result, calls = _marches(monkeypatch, lambda: evolve(gamma, forced_n=2, tol=tol))
+        diags = result.segments
+    elif case == "led_torus_window":
+        # the same windows perturbed, each block started from the base's
+        gamma = random_smooth_torus_velocity(11, grid=12, cells=4, target_bound=0.6)
+        delta = random_smooth_torus_velocity(12, grid=12, cells=4, target_bound=0.006)
+        record = {}
+        evolve(gamma, forced_n=2, tol=tol, record=record)
+        result, calls = _marches(monkeypatch, lambda: evolve(gamma + delta, forced_n=2, tol=tol, leads=record))
+        assert all(args[6] is not None for args, _ in calls)
         diags = result.segments
     else:
         gamma = random_smooth_velocity(42, target_bound=0.45)
@@ -320,6 +329,48 @@ def test_predict_is_exact_for_the_polynomial_of_its_history(rng, same):
     got = evolution._predict(mids, w, cellmap, 4, 8, g)
     assert got.shape == expected.shape
     assert np.max(np.abs(got - expected)) < 1e-13
+
+
+def _predict_by_loop(mids, w, cellmap, lo, hi, g):
+    """`_predict` with its Lagrange weights built one node at a time, each
+    from the other nodes: the reference for the one-product weights."""
+    k = 0
+    while k < len(g) and cellmap[lo - 1 - k] == cellmap[lo]:
+        k += 1
+    k = max(k, 1)
+    x, y = mids[lo - k:lo], mids[lo:hi]
+    weights = np.empty((hi - lo, k))
+    for j in range(k):
+        others = np.delete(x, j)
+        weights[:, j] = np.prod((y[:, None] - others) / (x[j] - others), axis=1)
+    return np.cumsum(w[lo:hi, None, None] * np.tensordot(weights, g[-k:], axes=1), axis=0)
+
+
+@pytest.mark.parametrize("same", [4, 3, 2, 1, 0])
+@pytest.mark.parametrize("block", [4, 3, 1])
+def test_predict_matches_the_loop_bit_for_bit(rng, same, block):
+    widths = rng.uniform(0.02, 0.2, size=8)
+    grid = TimeGrid(np.r_[0.0, np.cumsum(widths)] / widths.sum())
+    cellmap = np.r_[np.zeros(4 - same, dtype=int), np.ones(4 + same, dtype=int)]
+    g = rng.normal(size=(4, 5, 2))
+    args = (grid.midpoints(), grid.widths(), cellmap, 4, 4 + block, g)
+    assert np.array_equal(evolution._predict(*args), _predict_by_loop(*args))
+
+
+def test_eval_cells_reads_each_row_from_its_cell(rng):
+    """Blocks of one cell (a slice), blocks that straddle a jump, and a short
+    last block give the bits of evaluating each cell's rows on their own."""
+    gamma = random_smooth_velocity(3, grid=12, cells=4)
+    cells = np.array([0, 0, 0, 0, 0, 1, 1, 2, 2, 2, 2, 2, 3])
+    pts = rng.uniform(0.0, 1.0, size=(cells.size, 7, 2))
+    got = gamma.eval_cells(cells, pts)
+    want = np.empty_like(pts)
+    for lo in range(0, cells.size, evolution.MARCH_BLOCK):
+        block = cells[lo:lo + evolution.MARCH_BLOCK]
+        for ci in np.unique(block):
+            rows = lo + np.flatnonzero(block == ci)
+            want[rows] = gamma.fields[ci].eval(pts[rows].reshape(-1, 2)).reshape(rows.size, 7, 2)
+    assert np.array_equal(got, want)
 
 
 # -- the time error ------------------------------------------------------------
@@ -582,6 +633,88 @@ def test_continuity_probe_zero_perturbation(gamma):
     delta = TimeVelocity(gamma.grid, [f.zero_like() for f in gamma.fields], gamma.p)
     out = continuity_probe(gamma, delta, levels=2)
     assert [d for _, d in out] == pytest.approx([0.0, 0.0], abs=1e-12)
+
+
+def _led_marches(monkeypatch):
+    """(refined cells, led, recording) of every march made from now on."""
+    marches = []
+    march = evolution._picard_march
+    monkeypatch.setattr(evolution, "_picard_march", lambda *a: marches.append(
+        (a[1].ncells, a[6] is not None, a[7] is not None)) or march(*a))
+    return marches
+
+
+@pytest.mark.parametrize("forced_n", [None, 2])
+@pytest.mark.parametrize("kind", ["compact", "torus"])
+def test_continuity_probe_matches_independent_solves(monkeypatch, kind, forced_n):
+    """The perturbed levels solved from the base's record land within 1e-10
+    of independent solves.  Each case has a window whose coarse split the
+    base rejected by a wide margin, so the levels skip that march."""
+    make = random_smooth_velocity if kind == "compact" else random_smooth_torus_velocity
+    grid = 12 if kind == "compact" else 10
+    gamma = make(1 if kind == "compact" else 6, grid=grid, cells=2, target_bound=0.9 if forced_n is None else 0.45)
+    delta = make(99, grid=grid, cells=2, target_bound=0.01)
+    marches = _led_marches(monkeypatch)
+    out = continuity_probe(gamma, delta, levels=3, forced_n=forced_n)
+    monkeypatch.undo()
+    base = evolve(gamma, forced_n=forced_n)
+    assert base.n == (4 if forced_n is None else 2)
+    for scale, dist in out:
+        ref = group_path_distance(evolve(gamma + delta.scaled(scale), forced_n=forced_n).path, base.path, p=gamma.p)
+        assert abs(dist - ref) <= 1e-10
+    # the base records each of its marches, every march of the levels is
+    # led, and each level skips the coarse march the base rejected
+    recorded = sum(rec for *_, rec in marches)
+    assert all(rec for *_, rec in marches[:recorded])
+    levels = marches[recorded:]
+    assert all(led and not rec for _, led, rec in levels)
+    assert len(levels) < 3 * recorded
+
+
+def test_a_level_off_the_base_split_is_solved_as_today(monkeypatch):
+    """A level whose n differs from the base's makes the marches of a plain
+    solve, none led; so does a march on a split finer than any the base
+    made.  The last march of a window decides its path, so where it is not
+    led the path has the bits of the plain solve."""
+    gamma = random_smooth_velocity(1, grid=12, cells=2, target_bound=0.3)
+    record = {}
+    assert evolve(gamma, record=record).n == 1
+    # 16 cells over the budget by more than the margin, 32 cells within it
+    (window,) = record.values()
+    budget = evolution.TIME_ERROR_BUDGET
+    assert window[1 / 16][0] > evolution.LEAD_SPLIT_MARGIN * budget and window[1 / 32][0] <= budget
+    marches = _led_marches(monkeypatch)
+    # twice the velocity: a budget of 0.6 takes n = 2, no window of the base
+    twice = gamma + gamma
+    led = evolve(twice, leads=record)
+    led_marches = list(marches)
+    del marches[:]
+    plain = evolve(twice)
+    assert led.n == 2 and led_marches == marches
+    assert not any(lead for _, lead, _ in marches)
+    assert np.array_equal(led.path.stacked.coeffs, plain.path.stacked.coeffs)
+    # 1.1 times the velocity: the same n, and over budget at the base's 32 cells
+    del marches[:]
+    bigger = gamma + gamma.scaled(0.1)
+    led = evolve(bigger, leads=record)
+    assert marches == [(32, True, False), (64, False, False)]
+    del marches[:]
+    plain = evolve(bigger)
+    assert marches == [(16, False, False), (32, False, False), (64, False, False)]
+    assert np.array_equal(led.path.stacked.coeffs, plain.path.stacked.coeffs)
+
+
+def test_a_solve_led_by_its_own_record_starts_on_its_knots():
+    """Led by its own record, a solve skips the split it rejected and each
+    block converges in its first iteration: it starts on the knots the base
+    ended on, up to one rounding."""
+    gamma = random_smooth_torus_velocity(6, grid=10, cells=2, target_bound=0.9)
+    record = {}
+    base = evolve(gamma, record=record)
+    again = evolve(gamma, leads=record)
+    assert any(diag.resolves for diag in base.segments)
+    assert all(diag.iterations == 1 and diag.resolves == 0 for diag in again.segments)
+    assert np.max(np.abs(again.path.stacked.coeffs - base.path.stacked.coeffs)) < 1e-14
 
 
 # -- subdivision bookkeeping -------------------------------------------------

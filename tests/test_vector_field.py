@@ -378,6 +378,23 @@ def test_periodic_wraps(rng):
     assert np.allclose(f.jacobian(pts + 2.0), f.jacobian(pts), atol=1e-12)
 
 
+def test_periodic_wrap_is_np_mod_bit_for_bit(rng):
+    """The torus wrap x - floor(x) against np.mod(x, 1.0): signed zeros,
+    tiny negatives that round to 1.0, the float below 1, whole numbers,
+    NaN and random values, in value and in the sign of zero."""
+    f = PeriodicField(np.zeros((8, 8, 2)))
+    below_one = np.nextafter(1.0, 0.0)
+    special = np.array([0.0, -0.0, -1e-300, -1e-17, -2.0 ** -54, -5e-324, below_one, -below_one,
+                        1.0, -1.0, 3.0, -7.0, 2.0 ** 52, -2.0 ** 52, 2.0 ** 53 + 2.0, np.nan, -np.nan])
+    pts = np.concatenate([special, rng.uniform(-4.0, 4.0, size=301)]).reshape(-1, 2)
+    got = f._grid_coords(pts, 8)
+    want = np.mod(pts, 1.0) / f.h
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    # tiny negatives wrap onto u = n, which the padded table still holds
+    assert got[1, 0] == 8.0 and got[1, 1] == 8.0
+
+
 def test_periodic_node_interpolation(rng):
     f = PeriodicField(rng.normal(size=(10, 10, 2)))
     vals = f.eval(f.nodes()).reshape((10, 10, 2))
