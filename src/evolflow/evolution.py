@@ -125,13 +125,11 @@ class TimeVelocity:
         out = np.empty_like(pts)
         for lo in range(0, len(cells), MARCH_BLOCK):
             block = cells[lo:lo + MARCH_BLOCK]
-            if block[0] == block[-1]:
-                # a block that reads one cell is read as a slice, with no copy
-                groups = [(block[0], slice(lo, lo + block.size))]
-            else:
-                groups = [(ci, lo + np.flatnonzero(block == ci)) for ci in np.unique(block)]
-            for ci, rows in groups:
-                vals = self.fields[ci].eval(pts[rows].reshape(-1, self.dimension))
+            # each run of one cell is a slice of rows, read with no copy
+            edges = np.r_[0, np.flatnonzero(np.diff(block)) + 1, len(block)]
+            for a, b in zip(edges[:-1], edges[1:]):
+                rows = slice(lo + a, lo + b)
+                vals = self.fields[block[a]].eval(pts[rows].reshape(-1, self.dimension))
                 out[rows] = vals.reshape((-1,) + pts.shape[1:])
         return out
 
@@ -272,13 +270,10 @@ def _predict(mids, w, cellmap, lo, hi, g):
         k += 1
     k = max(k, 1)
     x, y = mids[lo - k:lo], mids[lo:hi]
-    # weights[i, j] = prod over m != j of (y_i - x_m) / (x_j - x_m): the
-    # factor m = j is set to 1/1, which leaves the product exact
-    num = np.repeat(y[:, None, None] - x, k, axis=1)
-    den = x[:, None] - x
-    diag = np.arange(k)
-    num[:, diag, diag] = den[diag, diag] = 1.0
-    weights = np.prod(num / den, axis=-1)
+    weights = np.empty((hi - lo, k))
+    for j in range(k):
+        others = np.delete(x, j)
+        weights[:, j] = np.prod((y[:, None] - others) / (x[j] - others), axis=1)
     return np.cumsum(w[lo:hi, None, None] * np.tensordot(weights, g[-k:], axes=1), axis=0)
 
 
@@ -372,26 +367,28 @@ def _budgeted_march(gamma, anchors, offsets, L, tol, finest_dt, lead=None, recor
     is reported whatever its value.  Returns the grid, knot values,
     velocities and diagnostics of the last march.
 
-    ``record``, if given, maps the cell width of each march to its declared
-    time error and how far each of its blocks moved from its start
-    (`_picard_march`).  ``lead``, if given, is the record of a nearby solve
-    of the same window: the leading splits it rejected by more than
-    `LEAD_SPLIT_MARGIN` times the budget are skipped, and each march on a
-    width it holds starts its blocks that far from their own starts.
+    ``record``, if given, maps the cell width of each march to how far each
+    of its blocks moved from its start (`_picard_march`), or to None for a
+    split above ``finest_dt`` whose declared time error exceeds
+    `LEAD_SPLIT_MARGIN` times the budget.  ``lead``, if given, is the record
+    of a nearby solve of the same window: its leading None splits are
+    skipped, and each march on a width it holds moves for starts its blocks
+    that far from their own starts.
     """
     lead = lead or {}
     dt = max(COARSEST_DT, finest_dt)
-    while dt > finest_dt and dt in lead and lead[dt][0] > LEAD_SPLIT_MARGIN * TIME_ERROR_BUDGET:
+    while dt > finest_dt and dt in lead and lead[dt] is None:
         dt = max(0.5 * dt, finest_dt)
     resolves = 0
     while True:
         grid, cellmap = gamma.refined(dt)
         moves = None if record is None else np.empty((grid.ncells,) + anchors.shape)
-        zeta, g, iters, change = _picard_march(
-            gamma, grid, cellmap, anchors, offsets, tol, lead[dt][1] if dt in lead else None, moves)
+        zeta, g, iters, change = _picard_march(gamma, grid, cellmap, anchors, offsets, tol, lead.get(dt), moves)
         time_error = _time_error(g, grid.widths(), cellmap, L)
         if record is not None:
-            record[dt] = (time_error, moves)
+            # a led solve skips such a split, so its moves are not kept
+            skipped = dt > finest_dt and time_error > LEAD_SPLIT_MARGIN * TIME_ERROR_BUDGET
+            record[dt] = None if skipped else moves
         if time_error <= TIME_ERROR_BUDGET or dt <= finest_dt:
             break
         # release this march before the next one allocates its own

@@ -40,6 +40,11 @@ ALPHA_DIV = 4
 #: lines per BLAS call of `_along_axes`
 BLAS_LINES = 64
 
+#: points times components per ``eval`` call of `vf_compose_displacement`:
+#: it bounds the (points, 4^d, components) coefficient patch that a stacked
+#: density of many cells gathers
+COMPOSE_ENTRIES = 1 << 13
+
 _MAGIC = b"CFLD"
 
 
@@ -431,10 +436,13 @@ class PeriodicField(_SplineField):
 # -- functional surface ----------------------------------------------------
 
 def vf_compose_displacement(field: _SplineField, disp: _SplineField) -> _SplineField:
-    """Resample x -> field(x + disp(x)) onto field's grid."""
+    """Resample x -> field(x + disp(x)) onto field's grid, evaluating at
+    most `COMPOSE_ENTRIES` points times components at a time."""
     field._check_geometry(disp)
     nodes = field.nodes()
-    vals = field.eval(nodes + disp.eval(nodes))
+    moved = nodes + disp.eval(nodes)
+    step = max(1, COMPOSE_ENTRIES // field.ncomp)
+    vals = np.concatenate([field.eval(moved[lo:lo + step]) for lo in range(0, len(moved), step)])
     return field.with_values(vals.reshape(field.shape + (field.ncomp,)))
 
 

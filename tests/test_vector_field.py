@@ -13,6 +13,7 @@ from conftest import lattice_points
 from evolflow.instances import plateau_weight, random_plateau_field
 from evolflow.vector_field import (
     ALPHA_SAFETY,
+    COMPOSE_ENTRIES,
     CompactField,
     PeriodicField,
     load_field,
@@ -263,6 +264,23 @@ def test_compose_zero_field(random_field):
     z = random_field.zero_like()
     composed = vf_compose_displacement(z, random_field)
     assert np.all(composed.coeffs == 0.0)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_compose_in_node_batches_matches_one_eval(rng, periodic):
+    """The composition evaluates its nodes in batches of at most
+    `COMPOSE_ENTRIES` points times components; a field of many components
+    gets the bits of evaluating them all at once."""
+    shape, ncomp = (15, 15), 80
+    # several batches, the last one short
+    batch = COMPOSE_ENTRIES // ncomp
+    assert batch < 225 and 225 % batch
+    zero = PeriodicField(np.zeros(shape + (2,))) if periodic else CompactField.zero(np.zeros(2), 1 / 14, shape, 2)
+    field = zero.with_coeffs(rng.normal(size=shape + (ncomp,)))
+    disp = zero.with_coeffs(rng.normal(scale=0.02, size=shape + (2,)))
+    nodes = field.nodes()
+    whole = field.with_values(field.eval(nodes + disp.eval(nodes)).reshape(shape + (ncomp,)))
+    assert np.array_equal(vf_compose_displacement(field, disp).coeffs, whole.coeffs)
 
 
 # -- geometry checks ---------------------------------------------------------
