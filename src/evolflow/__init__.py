@@ -3,9 +3,6 @@
 from .lp_space import (
     TimeGrid,
     LpSample,
-    Seminorm,
-    euclidean,
-    lp_seminorm,
     weak_integral,
 )
 from .ac_path import (
@@ -18,7 +15,6 @@ from .ac_path import (
     ac_embed,
     ac_reparam,
     ac_superpose,
-    ac_distance,
 )
 from .vector_field import (
     CompactField,

@@ -18,9 +18,7 @@ from .lp_space import (
     GridError,
     DimensionMismatchError,
     LpSample,
-    Seminorm,
     TimeGrid,
-    lp_seminorm,
     step_primitive,
 )
 
@@ -35,7 +33,6 @@ __all__ = [
     "ac_embed",
     "ac_reparam",
     "ac_superpose",
-    "ac_distance",
 ]
 
 
@@ -64,18 +61,8 @@ class AcPath:
     def p(self) -> float:
         return self.density.p
 
-    @property
-    def dim(self) -> int:
-        return self.density.dim
-
     def __add__(self, other: "AcPath") -> "AcPath":
         return AcPath(self.start + other.start, self.density + other.density)
-
-    def __sub__(self, other: "AcPath") -> "AcPath":
-        return AcPath(self.start - other.start, self.density - other.density)
-
-    def scaled(self, s: float) -> "AcPath":
-        return AcPath(s * self.start, self.density.scaled(s))
 
     @staticmethod
     def constant(x, grid: TimeGrid, p: float = 1.0) -> "AcPath":
@@ -109,9 +96,6 @@ class ContinuousTrace:
         times = np.asarray(times, dtype=float)
         cols = [np.interp(times, self.grid.knots, self.values[:, j]) for j in range(self.dim)]
         return np.stack(cols, axis=1)
-
-    def eval(self, t: float) -> np.ndarray:
-        return self.eval_many([t])[0]
 
     def sup_distance(self, other: "ContinuousTrace") -> float:
         """Sup distance of two piecewise-linear traces (attained at a knot
@@ -193,12 +177,3 @@ def ac_superpose(f: SmoothMap, path: AcPath, subdivisions: int = 1) -> AcPath:
     dens = np.einsum("nij,nj->ni", jac, path.density.eval_many(mids))
     start = f.fn(path.start[None])[0]
     return AcPath(start, LpSample(grid, dens, path.p))
-
-
-def ac_distance(p1: AcPath, p2: AcPath, q: Seminorm) -> float:
-    """q(start difference) + L^p seminorm of the density difference."""
-    if p1.a != p2.a or p1.b != p2.b:
-        raise GridError("paths live on different intervals")
-    if p1.p != p2.p:
-        raise ValueError("paths carry different exponents")
-    return float(q((p1.start - p2.start)[None])[0]) + lp_seminorm(p1.density - p2.density, q)

@@ -6,8 +6,8 @@
 Commands: evolve, continuity-study, subdivision-study, property-check,
 torus-evolve.  Each command accepts the top-level config keys of its own
 table below; any other key is a configuration error.  Exit codes: 0 all
-checks pass, 1 configuration error, 2 solver failure, 3 declared check
-failed.  CSV output uses a header row, '.' decimals, LF endings, and is
+checks pass, 1 usage or configuration error, 2 solver failure, 3 declared
+check failed.  CSV output uses a header row, '.' decimals, LF endings, and is
 byte-identical for any --threads value.
 """
 
@@ -41,6 +41,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_CHECK = 3
+
+#: side of the `--render` image in pixels, and its grid lines per axis
+RENDER_SIZE = 400
+RENDER_LINES = 12
 
 
 class ConfigError(ValueError):
@@ -207,25 +211,25 @@ def _save_result(result, out: Path, name: str) -> None:
     (out / f"{name}.json").write_text(json.dumps(obj, indent=2))
 
 
-def _render_ppm(result, out: Path, name: str, size: int = 400, lines: int = 12) -> None:
+def _render_ppm(result, out: Path, name: str) -> None:
     proto = result.path.stacked
     lo = proto.lo
     hi = getattr(proto, "hi", proto.lo + 1.0)
-    img = np.full((size, size), 255, dtype=np.uint8)
-    ts = np.linspace(0.0, 1.0, 40 * size // lines)
+    img = np.full((RENDER_SIZE, RENDER_SIZE), 255, dtype=np.uint8)
+    ts = np.linspace(0.0, 1.0, 40 * RENDER_SIZE // RENDER_LINES)
     disp = result.path.end()
-    for i in range(lines + 1):
-        c = lo + (hi - lo) * i / lines
+    for i in range(RENDER_LINES + 1):
+        c = lo + (hi - lo) * i / RENDER_LINES
         for pts in (
             np.stack([np.full_like(ts, c[0]), lo[1] + (hi[1] - lo[1]) * ts], axis=1),
             np.stack([lo[0] + (hi[0] - lo[0]) * ts, np.full_like(ts, c[1])], axis=1),
         ):
             mapped = pts + disp.eval(pts)
-            px = ((mapped - lo) / (hi - lo) * (size - 1)).round().astype(int)
-            keep = np.all((px >= 0) & (px < size), axis=1)
+            px = ((mapped - lo) / (hi - lo) * (RENDER_SIZE - 1)).round().astype(int)
+            keep = np.all((px >= 0) & (px < RENDER_SIZE), axis=1)
             img[px[keep, 1], px[keep, 0]] = 0
     with open(out / f"{name}.ppm", "wb") as fh:
-        fh.write(f"P6\n{size} {size}\n255\n".encode())
+        fh.write(f"P6\n{RENDER_SIZE} {RENDER_SIZE}\n255\n".encode())
         fh.write(np.repeat(img[::-1, :, None], 3, axis=2).tobytes())
 
 
@@ -345,7 +349,11 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--render", action="store_true")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of a solver failure; --help exits 0
+        return EXIT_CONFIG if exc.code else EXIT_OK
 
     out = Path(args.out)
     try:

@@ -43,7 +43,6 @@ __all__ = [
     "apply_T",
     "contraction_bound",
     "window_budgets",
-    "picard_points",
     "rk4_points",
     "local_evolve",
     "evolve",
@@ -253,7 +252,7 @@ def _check_budget(L: float, bound: float, remedy: str) -> None:
         raise ValueError(f"contraction bound {L:.4g} >= {bound}; {remedy}")
 
 
-# -- point solver ----------------------------------------------------------
+# -- the Picard march ------------------------------------------------------
 
 def _predict(mids, w, cellmap, lo, hi, g):
     """Start of the block of cells [lo, hi) relative to its first knot.
@@ -277,12 +276,12 @@ def _predict(mids, w, cellmap, lo, hi, g):
     return np.cumsum(w[lo:hi, None, None] * np.tensordot(weights, g[-k:], axes=1), axis=0)
 
 
-def _picard_march(gamma, grid, cellmap, anchors, offsets, tol, lead=None, record=None):
+def _picard_march(gamma, grid, cellmap, nodes, tol, lead=None, record=None):
     """The discrete fixed point of `_T`, marched in time, and its certificate.
 
-    ``anchors`` (S, d) are the integration starting values; ``offsets``
-    are added before field evaluation (0.0 for point trajectories, the grid
-    nodes (S, d) for field-valued solves working in displacements).
+    The solve is in displacements: zeta holds the displacement of each of
+    the grid ``nodes`` (S, d), starting at 0, and velocities are read at
+    ``nodes`` plus zeta.
 
     Each block of `MARCH_BLOCK` cells iterates `_T` on its own knots until
     the change falls below ``tol``, integrating from T(zeta) at its first
@@ -302,10 +301,10 @@ def _picard_march(gamma, grid, cellmap, anchors, offsets, tol, lead=None, record
     w = grid.widths()
     mids = grid.midpoints()
     ncells = w.size
-    zeta = np.empty((ncells + 1,) + anchors.shape)
-    zeta[0] = anchors
-    g = np.empty((ncells,) + anchors.shape)
-    start = anchors
+    zeta = np.empty((ncells + 1,) + nodes.shape)
+    zeta[0] = 0.0
+    g = np.empty((ncells,) + nodes.shape)
+    start = np.zeros_like(nodes)
     evaluations = 0
     for lo in range(0, ncells, MARCH_BLOCK):
         hi = min(lo + MARCH_BLOCK, ncells)
@@ -315,7 +314,7 @@ def _picard_march(gamma, grid, cellmap, anchors, offsets, tol, lead=None, record
         change = np.inf
         stalled = 0
         for it in range(1, PICARD_MAX_ITER + 1):
-            new, g[lo:hi] = _T(gamma, cellmap[lo:hi], w[lo:hi], start, offsets, block)
+            new, g[lo:hi] = _T(gamma, cellmap[lo:hi], w[lo:hi], start, nodes, block)
             prev, change = change, float(np.max(np.abs(new[1:] - block[1:])))
             evaluations += hi - lo
             # a contraction shrinks the change every iteration until round-off stops it
@@ -333,7 +332,7 @@ def _picard_march(gamma, grid, cellmap, anchors, offsets, tol, lead=None, record
         if record is not None:
             record[lo:hi] = block[1:] - guess
         start = new[-1]
-    new = step_cumulative(w, g, anchors)
+    new = step_cumulative(w, g)
     certificate = float(np.max(np.abs(new - zeta)))
     return new, g, -(-evaluations // ncells), certificate
 
@@ -360,7 +359,7 @@ def _time_error(g, w, cellmap, L):
     return TIME_ERROR_SAFETY / (1.0 - L) * total
 
 
-def _budgeted_march(gamma, anchors, offsets, L, tol, finest_dt, lead=None, record=None):
+def _budgeted_march(gamma, nodes, L, tol, finest_dt, lead=None, record=None):
     """`_picard_march` on cells of width ``max(COARSEST_DT, finest_dt)``,
     halved and marched again, down to ``finest_dt``, while the declared time
     error (`_time_error`) exceeds `TIME_ERROR_BUDGET`; at ``finest_dt`` it
@@ -382,8 +381,8 @@ def _budgeted_march(gamma, anchors, offsets, L, tol, finest_dt, lead=None, recor
     resolves = 0
     while True:
         grid, cellmap = gamma.refined(dt)
-        moves = None if record is None else np.empty((grid.ncells,) + anchors.shape)
-        zeta, g, iters, change = _picard_march(gamma, grid, cellmap, anchors, offsets, tol, lead.get(dt), moves)
+        moves = None if record is None else np.empty((grid.ncells,) + nodes.shape)
+        zeta, g, iters, change = _picard_march(gamma, grid, cellmap, nodes, tol, lead.get(dt), moves)
         time_error = _time_error(g, grid.widths(), cellmap, L)
         if record is not None:
             # a led solve skips such a split, so its moves are not kept
@@ -397,16 +396,6 @@ def _budgeted_march(gamma, anchors, offsets, L, tol, finest_dt, lead=None, recor
         resolves += 1
     diag = PicardDiagnostics(iters, change, L, L / (1.0 - L) * change, time_error=time_error, resolves=resolves)
     return grid, zeta, g, diag
-
-
-def picard_points(gamma: TimeVelocity, xs: np.ndarray, tol: float = 1e-12):
-    """Batched fixed-point trajectories for several start points, on the
-    budgeted split: (grid, knot values (T+1, S, d), densities (T, S, d), diag).
-    """
-    L = contraction_bound(gamma)
-    _check_budget(L, 1.0, "subdivide first")
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    return _budgeted_march(gamma, xs, 0.0, L, tol, FINEST_DT)
 
 
 # -- reference integrator --------------------------------------------------
@@ -455,7 +444,7 @@ def local_evolve(
     _check_budget(L, L_max, "use evolve(), with a larger forced_n or none")
     proto = gamma.proto
     nodes = proto.nodes()
-    grid, zeta, g, diag = _budgeted_march(gamma, np.zeros_like(nodes), nodes, L, tol, finest_dt, lead, record)
+    grid, zeta, g, diag = _budgeted_march(gamma, nodes, L, tol, finest_dt, lead, record)
     # node values of all cells side by side on the component axis; the knot
     # values and velocities are released before the filter allocates
     values = np.moveaxis(g, 0, 1).reshape(proto.shape + (-1,))

@@ -9,13 +9,12 @@ checks free of quadrature error.  Piecewise-linear curves are
 Step functions with values of any trailing shape are integrated one way,
 at the knots (`step_cumulative`: the Picard march) or at any times
 (`step_primitive`: group and AC paths, the window budgets), and measured one
-way (`lp_norm`: the contraction budget and both path distances).
+way (`lp_norm`: the contraction budget and the group path distance).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -24,9 +23,6 @@ __all__ = [
     "DimensionMismatchError",
     "TimeGrid",
     "LpSample",
-    "Seminorm",
-    "euclidean",
-    "lp_seminorm",
     "weak_integral",
     "step_cumulative",
     "step_primitive",
@@ -122,32 +118,6 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class Seminorm:
-    """Continuous seminorm on R^m, evaluated on batches of values.
-
-    ``fn`` maps an (N, m) array to an (N,) array of nonnegative reals and must
-    be absolutely homogeneous and subadditive.
-    """
-
-    tag: str
-    fn: Callable[[np.ndarray], np.ndarray]
-    dim: int | None = None
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        values = np.atleast_2d(np.asarray(values, dtype=float))
-        if self.dim is not None and values.shape[1] != self.dim:
-            raise DimensionMismatchError(
-                f"seminorm expects dimension {self.dim}, got {values.shape[1]}"
-            )
-        out = np.asarray(self.fn(values), dtype=float)
-        return out
-
-
-def euclidean(dim: int | None = None) -> Seminorm:
-    return Seminorm("euclidean", lambda v: np.linalg.norm(v, axis=1), dim)
-
-
-@dataclass(frozen=True)
 class LpSample:
     """A representative of a class in L^p([a,b], R^m): one value per cell."""
 
@@ -175,9 +145,6 @@ class LpSample:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def eval(self, t: float) -> np.ndarray:
-        return self.values[self.grid.cell_of(t)].copy()
-
     def eval_many(self, times) -> np.ndarray:
         return self.values[self.grid.cell_of(times)]
 
@@ -200,9 +167,6 @@ class LpSample:
 
     def __sub__(self, other: "LpSample") -> "LpSample":
         return self._binary(other, np.subtract)
-
-    def scaled(self, s: float) -> "LpSample":
-        return LpSample(self.grid, s * self.values, self.p)
 
 
 def step_cumulative(widths, values, start=0.0) -> np.ndarray:
@@ -231,11 +195,6 @@ def lp_norm(widths, norms, p: float) -> float:
     if np.isinf(p):
         return float(np.max(norms))
     return float(np.sum(widths * norms**p) ** (1.0 / p))
-
-
-def lp_seminorm(f: LpSample, q: Seminorm, p: float | None = None) -> float:
-    """(integral of q(f)^p)^(1/p), exact for step functions; the ess sup at p = inf."""
-    return lp_norm(f.grid.widths(), q(f.values), f.p if p is None else p)
 
 
 def weak_integral(f: LpSample, t0: float, t1: float) -> np.ndarray:

@@ -63,20 +63,7 @@ def local_addition(tag: str) -> LocalAddition:
             lambda p, v: wrap_point(np.asarray(p) + np.asarray(v)),
             lambda p, q: wrap_diff(np.asarray(q) - np.asarray(p)),
         )
-    if tag == "circle_stereo":
-        # points as angles in [0, 2pi); addition along the circle
-        return LocalAddition(
-            tag,
-            0.5 * np.pi,
-            lambda p, v: np.mod(np.asarray(p) + np.asarray(v), 2.0 * np.pi),
-            lambda p, q: _wrap_angle(np.asarray(q) - np.asarray(p)),
-        )
     raise ValueError(f"unknown manifold tag {tag!r}")
-
-
-def _wrap_angle(d):
-    d = np.asarray(d, dtype=float)
-    return d - 2.0 * np.pi * np.ceil(d / (2.0 * np.pi) - 0.5)
 
 
 # -- circle chart dictionary ------------------------------------------------
@@ -132,14 +119,6 @@ class ManifoldAcPath:
         for (_, s1), (_, s2) in zip(self.segments, self.segments[1:]):
             if s1.b != s2.a:
                 raise GridError("segments do not tile the interval")
-
-    @property
-    def a(self) -> float:
-        return self.segments[0][1].a
-
-    @property
-    def b(self) -> float:
-        return self.segments[-1][1].b
 
     def segment_for(self, t: float) -> tuple[str, AcPath]:
         return _segment_at(self.segments, t)

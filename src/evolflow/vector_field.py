@@ -173,15 +173,8 @@ class _SplineField:
     # -- subclass hooks ----------------------------------------------------
     #: boundary rule of the coefficients: "constant" (zero) or "wrap"
     _MODE: str
-
-    def _grid_coords(self, points: np.ndarray, n) -> np.ndarray:
-        """Continuous grid coordinates of points, within [0, n] per axis for
-        n nodes; coordinate u reads coefficients floor(u) - 1 .. floor(u) + 2.
-        """
-        raise NotImplementedError
-
-    def with_coeffs(self, coeffs: np.ndarray) -> "_SplineField":
-        raise NotImplementedError
+    # each geometry defines `with_coeffs` and `_grid_coords(points, n)`, grid coordinates
+    # in [0, n] per axis for n nodes: coordinate u reads coefficients floor(u) - 1 .. floor(u) + 2
 
     # -- evaluation --------------------------------------------------------
     def _table(self):

@@ -1,5 +1,5 @@
-"""Absolutely continuous paths: evaluation, isomorphisms, reparametrization,
-superposition, and the start-plus-density distance."""
+"""Absolutely continuous paths: evaluation, isomorphisms, reparametrization
+and superposition."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from evolflow.ac_path import (
     AcPath,
     ContinuousTrace,
     SmoothMap,
-    ac_distance,
     ac_embed,
     ac_eval,
     ac_eval_many,
@@ -18,10 +17,8 @@ from evolflow.ac_path import (
     ac_reparam,
     ac_superpose,
 )
-from evolflow.lp_space import GridError, LpSample, TimeGrid, euclidean
+from evolflow.lp_space import GridError, LpSample, TimeGrid
 from conftest import random_step_sample, samples_equal
-
-EUC = euclidean()
 
 
 def random_path(rng, ncells=5, dim=2):
@@ -198,44 +195,6 @@ def test_superpose_domain_violation():
     path = AcPath(np.zeros(1), LpSample(TimeGrid.uniform(0.0, 1.0, 2), np.ones((2, 1)), 1.0))
     with pytest.raises(ValueError):
         ac_superpose(f, path)
-
-
-# -- distance ----------------------------------------------------------------
-
-def test_distance_zero_and_translation(rng):
-    path = random_path(rng)
-    assert ac_distance(path, path, EUC) == 0.0
-    c = np.array([0.3, -0.4])
-    shifted = AcPath(path.start + c, path.density)
-    assert ac_distance(path, shifted, EUC) == pytest.approx(0.5, abs=1e-14)
-
-
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_distance_symmetric(seed):
-    r = np.random.default_rng(seed)
-    p1 = AcPath(r.normal(size=2), random_step_sample(r))
-    p2 = AcPath(r.normal(size=2), random_step_sample(r))
-    assert ac_distance(p1, p2, EUC) == pytest.approx(ac_distance(p2, p1, EUC), abs=1e-14)
-
-
-def test_distance_dominates_sup_distance(rng):
-    # with p = 1 on [0,1] the start-plus-density distance bounds the uniform one
-    for _ in range(10):
-        p1 = random_path(rng)
-        p2 = random_path(rng)
-        knots = p1.density.grid.refine(p2.density.grid).knots
-        sup = max(
-            float(np.linalg.norm(ac_eval(p1, t) - ac_eval(p2, t))) for t in knots
-        )
-        assert sup <= ac_distance(p1, p2, EUC) + 1e-12
-
-
-def test_distance_interval_mismatch(rng):
-    p1 = random_path(rng)
-    p2 = ac_reparam(random_path(rng), 0.0, 2.0)
-    with pytest.raises(GridError):
-        ac_distance(p1, p2, EUC)
 
 
 # -- traces ------------------------------------------------------------------

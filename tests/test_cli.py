@@ -32,6 +32,17 @@ def test_missing_config_file(tmp_path):
     assert main(["evolve", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
+def test_usage_error_is_a_config_error(tmp_path, capsys):
+    # argparse's own exit code 2 would read as a solver failure
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, {"velocity": {"kind": "zero"}})
+    for argv in (["evolve"], ["no-such-command", "--config", cfg], ["evolve", "--config", cfg, "--threads", "x"]):
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG, argv
+        assert "usage: evolflow" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["--help"]) == EXIT_OK
+
+
 KNOWN_KINDS = "zero, random_smooth, random_smooth_torus, rotation_plateau, translation_plateau, constant_torus, manifest"
 
 

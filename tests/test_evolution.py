@@ -1,4 +1,4 @@
-"""Picard evolution: the integral operator, the fixed-point solvers, the
+"""Picard evolution: the integral operator, the fixed-point solver, the
 subdivision machinery, and oracle comparisons against RK4."""
 
 import hashlib
@@ -20,7 +20,6 @@ from evolflow.evolution import (
     evolve,
     flow_point,
     local_evolve,
-    picard_points,
     residual,
     rk4_points,
     window_budgets,
@@ -33,7 +32,7 @@ from evolflow.instances import (
     translation_plateau_velocity,
     zero_velocity,
 )
-from evolflow.lp_space import LpSample, TimeGrid, euclidean, lp_seminorm
+from evolflow.lp_space import TimeGrid, lp_norm
 from evolflow.vector_field import _SplineField
 from conftest import displaced, stack_fields, unstack
 
@@ -78,32 +77,15 @@ def test_apply_T_contraction_inequality(gamma, rng):
 
 
 def test_contraction_bounds_ordering(gamma):
-    # the budget is the L^1 seminorm of t -> alpha(gamma(t))
-    alpha = LpSample(gamma.grid, gamma.alpha_values()[:, None], gamma.p)
-    l1, lp = lp_seminorm(alpha, euclidean(), p=1.0), lp_seminorm(alpha, euclidean())
+    # the budget is the L^1 norm of t -> alpha(gamma(t))
+    widths, alpha = gamma.grid.widths(), gamma.alpha_values()
+    l1, lp = lp_norm(widths, alpha, 1.0), lp_norm(widths, alpha, gamma.p)
     # Hoelder on the unit interval: the L^1 budget never exceeds the L^p one
     assert gamma.p > 1.0 and l1 <= lp + 1e-14
     assert contraction_bound(gamma) == pytest.approx(l1, rel=1e-12)
 
 
-# -- point solver ------------------------------------------------------------
-
-def test_picard_zero_field_is_constant(rng):
-    gamma = zero_velocity(cells=2)
-    x = np.array([0.3, 0.7])
-    grid, zeta, g, diag = picard_points(gamma, x[None])
-    assert np.all(g == 0.0) and np.all(zeta == x)
-    assert diag.contraction == 0.0
-
-
-def test_picard_outside_support_is_constant(rotation):
-    # the plateau taper makes the full rotation exceed the contraction
-    # budget; a scaled copy fits while keeping the same support
-    small = rotation.scaled(0.3)
-    x = np.array([1.2, -0.4])
-    grid, zeta, g, _ = picard_points(small, x[None])
-    assert np.all(g == 0.0) and np.all(zeta == x)
-
+# -- closed-form flows and the RK4 oracle ------------------------------------
 
 def test_evolve_matches_rigid_rotation(rotation):
     omega = 0.3
@@ -119,12 +101,6 @@ def test_evolve_matches_rigid_rotation(rotation):
         assert np.max(np.abs(flow_point(res, t, x0) - expect)) < 1e-5
 
 
-def test_picard_requires_contraction(gamma):
-    big = gamma.scaled(5.0)
-    with pytest.raises(ValueError):
-        picard_points(big, np.array([[0.5, 0.5]]))
-
-
 def test_rk4_fourth_order(rotation):
     # start points in the taper region, where the field is genuinely nonlinear
     xs = np.array([[0.87, 0.5], [0.5, 0.14]])
@@ -134,35 +110,17 @@ def test_rk4_fourth_order(rotation):
     assert e1 / e2 == pytest.approx(16.0, rel=0.25)
 
 
-def test_picard_trajectory_is_a_fixed_point_of_apply_T(gamma):
-    tol = 1e-12
-    xs = np.array([[0.45, 0.55], [0.62, 0.38]])
-    grid, zeta, g, diag = picard_points(gamma, xs, tol=tol)
-    for s, x in enumerate(xs):
-        traj = ContinuousTrace(grid, zeta[:, s])
-        image = apply_T(gamma, x, traj)
-        assert np.array_equal(image.grid.knots, grid.knots)
-        assert np.max(np.abs(image.values - traj.values)) < tol
-
-
-def test_picard_matches_rk4(gamma):
-    xs = np.array([[0.45, 0.55], [0.62, 0.38], [0.5, 0.5]])
-    grid, zeta, g, diag = picard_points(gamma, xs, tol=1e-13)
-    oracle = rk4_points(gamma, xs, 4096)[-1]
-    assert np.max(np.abs(zeta[-1] - oracle)) < 1e-4
-
-
 # -- the march against the global sweep ----------------------------------------
 
-def _global_picard(gamma, grid, cellmap, anchors, offsets, tol, max_iter):
+def _global_picard(gamma, grid, cellmap, nodes, tol, max_iter):
     """Reference solver: Jacobi waveform relaxation, `_T` iterated over the
-    whole grid from the constant path until the change falls below tol."""
+    whole grid from the zero displacement until the change falls below tol."""
     w = grid.widths()
-    zeta = np.broadcast_to(anchors, (grid.knots.size,) + anchors.shape).copy()
+    zeta = np.zeros((grid.knots.size,) + nodes.shape)
     change = np.inf
     stalled = 0
     for it in range(1, max_iter + 1):
-        new, g = evolution._T(gamma, cellmap, w, anchors, offsets, zeta)
+        new, g = evolution._T(gamma, cellmap, w, 0.0, nodes, zeta)
         prev, change = change, float(np.max(np.abs(new - zeta)))
         zeta = new
         if change < tol:
@@ -191,7 +149,7 @@ def _jump_velocity():
     return gamma.scaled(0.4 / contraction_bound(gamma))
 
 
-@pytest.mark.parametrize("case", ["compact_local_evolve", "compact_jump", "torus_window", "led_torus_window", "picard_points"])
+@pytest.mark.parametrize("case", ["compact_local_evolve", "compact_jump", "torus_window", "led_torus_window"])
 def test_march_agrees_with_global_sweep_and_certifies_itself(monkeypatch, case):
     tol = 1e-11
     if case in ("compact_local_evolve", "compact_jump"):
@@ -217,20 +175,15 @@ def test_march_agrees_with_global_sweep_and_certifies_itself(monkeypatch, case):
         record = {}
         evolve(gamma, forced_n=2, tol=tol, record=record)
         result, calls = _marches(monkeypatch, lambda: evolve(gamma + delta, forced_n=2, tol=tol, leads=record))
-        assert all(args[6] is not None for args, _ in calls)
+        assert all(args[5] is not None for args, _ in calls)
         diags = result.segments
-    else:
-        gamma = random_smooth_velocity(42, target_bound=0.45)
-        xs = np.array([[0.45, 0.55], [0.62, 0.38], [0.3, 0.7]])
-        result, calls = _marches(monkeypatch, lambda: picard_points(gamma, xs, tol=tol))
-        diags = [result[3]]
     # each solve marches once more for every split it refined; its
     # diagnostics are those of its last march
     assert len(calls) == sum(1 + diag.resolves for diag in diags) > 0
     last = dict(zip(np.cumsum([1 + diag.resolves for diag in diags]) - 1, diags))
     for i, (args, (zeta, g, iters, change)) in enumerate(calls):
         L = contraction_bound(args[0])
-        ref, ref_g = _global_picard(*args[:5], tol=1e-14, max_iter=200)
+        ref, ref_g = _global_picard(*args[:4], tol=1e-14, max_iter=200)
         # agreement with the global solution, in knot values and densities
         assert np.max(np.abs(zeta - ref)) < tol
         assert np.max(np.abs(g - ref_g)) < tol
@@ -242,7 +195,7 @@ def test_march_agrees_with_global_sweep_and_certifies_itself(monkeypatch, case):
         # never looser than the bound of the stopping rule it replaced
         assert bound <= tol / (1.0 - L)
         # the returned knots are T(zeta): the integrals of the returned densities
-        assert np.array_equal(zeta[1:], np.cumsum(args[1].widths()[:, None, None] * g, axis=0) + args[3])
+        assert np.array_equal(zeta[1:], np.cumsum(args[1].widths()[:, None, None] * g, axis=0))
         if i in last:
             diag = last[i]
             assert diag.last_change == change and diag.contraction == L
@@ -280,19 +233,13 @@ def test_march_work_on_the_compact_fixture(monkeypatch):
     assert sum(rows) == 302
 
 
-@pytest.mark.parametrize("case", ["local_evolve", "picard_points"])
-def test_march_evaluates_one_block_at_a_time(monkeypatch, case):
+def test_march_evaluates_one_block_at_a_time(monkeypatch):
     """No whole-grid sweep: every velocity evaluation inside a march covers
     at most one block of `MARCH_BLOCK` refined cells."""
     rows = _evaluated_rows(monkeypatch)
     gamma = random_smooth_velocity(7, grid=24, cells=3, target_bound=0.4)
-    xs = np.array([[0.45, 0.55], [0.62, 0.38]])
-    solve = {
-        "local_evolve": lambda: local_evolve(gamma, tol=1e-11),
-        "picard_points": lambda: picard_points(gamma, xs, tol=1e-11),
-    }[case]
-    # both evaluate velocities inside their marches only
-    _, calls = _marches(monkeypatch, solve)
+    # local_evolve evaluates velocities inside its marches only
+    _, calls = _marches(monkeypatch, lambda: local_evolve(gamma, tol=1e-11))
     assert calls and rows and max(rows) <= evolution.MARCH_BLOCK
 
 
@@ -615,7 +562,7 @@ def _led_marches(monkeypatch):
     marches = []
     march = evolution._picard_march
     monkeypatch.setattr(evolution, "_picard_march", lambda *a: marches.append(
-        (a[1].ncells, a[6] is not None, a[7] is not None)) or march(*a))
+        (a[1].ncells, a[5] is not None, a[6] is not None)) or march(*a))
     return marches
 
 

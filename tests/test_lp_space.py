@@ -1,6 +1,5 @@
-"""Step-function L^p calculus: the primitive and the norm, seminorms, weak
-integrals, and subdivision of a velocity curve's step function of cell
-budgets."""
+"""Step-function L^p calculus: the primitive and the norm, weak integrals,
+and subdivision of a velocity curve's step function of cell budgets."""
 
 import numpy as np
 import pytest
@@ -12,10 +11,8 @@ from evolflow.lp_space import (
     DimensionMismatchError,
     GridError,
     LpSample,
-    Seminorm,
     TimeGrid,
-    euclidean,
-    lp_seminorm,
+    lp_norm,
     step_cumulative,
     step_primitive,
     weak_integral,
@@ -23,20 +20,23 @@ from evolflow.lp_space import (
 from evolflow.vector_field import CompactField
 from conftest import random_step_sample, samples_equal
 
-EUC = euclidean()
-
 #: a 1-d field whose alpha scales to any budget
 BUMP = CompactField(np.zeros(1), 0.25, np.array([[0.0], [0.0], [1.0], [0.0], [0.0]]))
 
 
-def weighted(w) -> Seminorm:
-    w = np.asarray(w, dtype=float)
-    return Seminorm("weighted", lambda v: np.abs(v) @ w, w.size)
+def cell_norms(values) -> np.ndarray:
+    """The Euclidean norm of each cell value (cells, m)."""
+    return np.linalg.norm(values, axis=1)
+
+
+def norm_of(f: LpSample, p=None) -> float:
+    """lp_norm of f's cell norms, at f's own exponent unless p is given."""
+    return lp_norm(f.grid.widths(), cell_norms(f.values), f.p if p is None else p)
 
 
 def budget_curve(f: LpSample) -> TimeVelocity:
     """A velocity curve on f's grid whose cell field has alpha |f| per cell."""
-    return TimeVelocity(f.grid, [BUMP.scaled(a / BUMP.alpha()) for a in EUC(f.values)], f.p)
+    return TimeVelocity(f.grid, [BUMP.scaled(a / BUMP.alpha()) for a in cell_norms(f.values)], f.p)
 
 
 def const_sample(c, p=1.0, ncells=1):
@@ -109,38 +109,26 @@ def test_grid_split_cuts_each_cell_evenly():
     assert np.array_equal(g.cell_of(split.midpoints()), cells)
 
 
-# -- lp_seminorm -------------------------------------------------------------
+# -- lp_norm -----------------------------------------------------------------
 
 def test_seminorm_constant_is_pointwise_norm():
     c = np.array([3.0, -4.0])
-    assert lp_seminorm(const_sample(c, p=2.0), EUC) == pytest.approx(5.0, abs=1e-15)
+    assert norm_of(const_sample(c, p=2.0)) == pytest.approx(5.0, abs=1e-15)
 
 
 def test_seminorm_step_exact_quadrature():
     v, w = np.array([1.0, 0.0]), np.array([0.0, -2.0])
     f = step_sample(v, w, p=1.0)
-    assert lp_seminorm(f, EUC) == pytest.approx(0.5 * (1.0 + 2.0), abs=1e-15)
-
-
-def test_seminorm_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        lp_seminorm(const_sample([1.0, 2.0]), euclidean(dim=3))
-
-
-def test_weighted_seminorm():
-    q = weighted([2.0, 0.0])
-    assert lp_seminorm(const_sample([3.0, 100.0]), q) == pytest.approx(6.0)
-    with pytest.raises(DimensionMismatchError):
-        lp_seminorm(const_sample([1.0, 2.0, 3.0]), q)
+    assert norm_of(f) == pytest.approx(0.5 * (1.0 + 2.0), abs=1e-15)
 
 
 # -- ess sup -----------------------------------------------------------------
 
 def test_ess_sup_examples():
-    assert lp_seminorm(const_sample([3.0, 4.0]), EUC, p=np.inf) == pytest.approx(5.0)
+    assert norm_of(const_sample([3.0, 4.0]), p=np.inf) == pytest.approx(5.0)
     f = step_sample([1.0, 0.0], [0.0, -2.0])
-    assert lp_seminorm(f, EUC, p=np.inf) == pytest.approx(2.0)
-    assert lp_seminorm(step_sample([1.0, 0.0], [0.0, -2.0], p=np.inf), EUC) == pytest.approx(2.0)
+    assert norm_of(f, p=np.inf) == pytest.approx(2.0)
+    assert norm_of(step_sample([1.0, 0.0], [0.0, -2.0], p=np.inf)) == pytest.approx(2.0)
 
 
 # -- the primitive -----------------------------------------------------------
@@ -269,9 +257,7 @@ def test_subdivide_decay_monotone(seed, n):
 def test_homogeneity(seed, lam):
     r = np.random.default_rng(seed)
     f = random_step_sample(r, p=2.0)
-    assert lp_seminorm(f.scaled(lam), EUC) == pytest.approx(
-        abs(lam) * lp_seminorm(f, EUC), abs=1e-12
-    )
+    assert norm_of(LpSample(f.grid, lam * f.values, f.p)) == pytest.approx(abs(lam) * norm_of(f), abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -281,16 +267,16 @@ def test_hoelder_chain(seed, q_exp, extra):
     r = np.random.default_rng(seed)
     f = random_step_sample(r)
     p_exp = q_exp + extra
-    assert lp_seminorm(f, EUC, p=q_exp) <= lp_seminorm(f, EUC, p=p_exp) + 1e-12
+    assert norm_of(f, p=q_exp) <= norm_of(f, p=p_exp) + 1e-12
 
 
 def test_seminorm_triangle_on_samples(rng):
+    # Minkowski: the norm of a sum of step functions on one grid
     for _ in range(20):
-        a = rng.normal(size=(8, 3))
-        b = rng.normal(size=(8, 3))
-        for q in (EUC, weighted([1.0, 0.5, 2.0])):
-            assert np.all(q(a + b) <= q(a) + q(b) + 1e-12)
-            assert np.allclose(q(-2.5 * a), 2.5 * q(a), atol=1e-12)
+        f = random_step_sample(rng, ncells=8, dim=3)
+        g = LpSample(f.grid, rng.normal(size=f.values.shape), f.p)
+        for p in (1.0, 2.0, 3.5, np.inf):
+            assert norm_of(f + g, p) <= norm_of(f, p) + norm_of(g, p) + 1e-12
 
 
 # -- representation plumbing -------------------------------------------------
@@ -307,7 +293,7 @@ def test_samples_equal_as_classes():
     f = const_sample([1.0, 2.0])
     g = LpSample(TimeGrid.uniform(0.0, 1.0, 4), np.tile([1.0, 2.0], (4, 1)), 1.0)
     assert samples_equal(f, g)
-    assert not samples_equal(f, g.scaled(1.0 + 1e-9))
+    assert not samples_equal(f, LpSample(g.grid, (1.0 + 1e-9) * g.values, g.p))
 
 
 def test_sample_validation():

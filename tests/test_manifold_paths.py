@@ -36,7 +36,7 @@ def small_section(rng, base, scale=0.1):
     segs = []
     for chart, seg in base.segments:
         dens = rng.uniform(-scale, scale, size=seg.density.values.shape)
-        start = rng.uniform(-scale, scale, size=seg.dim)
+        start = rng.uniform(-scale, scale, size=seg.density.dim)
         segs.append((chart, AcPath(start, LpSample(seg.density.grid, dens, seg.p))))
     return SectionTuple(base, tuple(segs))
 
@@ -158,7 +158,7 @@ def test_transition_moves_base_point(rng):
 def test_section_embed_torus_identity(rng):
     eta = random_torus_path(rng)
     sigma = small_section(rng, eta)
-    pieces = section_embed(sigma, [eta.a, eta.b], ["torus"])
+    pieces = section_embed(sigma, [0.0, 1.0], ["torus"])
     glued = SectionTuple(eta, pieces)
     for (_, s1), (_, s2) in zip(glued.segments, sigma.segments):
         assert np.max(np.abs(ac_eval(s1, s1.a) - ac_eval(s2, s1.a))) < 1e-13
