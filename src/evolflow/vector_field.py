@@ -23,7 +23,6 @@ __all__ = [
     "PeriodicField",
     "vf_compose_displacement",
     "resampling_estimate",
-    "spectral_norms",
     "save_field",
     "load_field",
     "save_manifest",
@@ -37,7 +36,7 @@ ALPHA_SAFETY = 1.05
 #: lattice refinement (points per grid cell and axis) for the alpha estimate.
 ALPHA_DIV = 4
 
-#: lines per BLAS call of `_along_axes`
+#: lines per BLAS call of `_along_axis`
 BLAS_LINES = 64
 
 #: points times components per ``eval`` call of `vf_compose_displacement`:
@@ -102,40 +101,84 @@ def _prefilter_matrix(n: int, wrap: bool) -> np.ndarray:
     return out
 
 
+def _along_axis(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """The (m, n) matrix ``mat`` applied along the leading axis of x, of
+    shape (n,) + rest; the new axis goes at the end: shape rest + (m,).
+
+    The lines go to BLAS in zero-padded blocks of `BLAS_LINES`, so every
+    product has one shape: a line's result does not depend on how many
+    lines share the array (a lone line would take a matrix-vector kernel,
+    and few lines a small-matrix one), nor on where it sits among them.
+    """
+    n, rest = x.shape[0], x.shape[1:]
+    flat = x.reshape(n, -1)
+    lines = flat.shape[1]
+    if lines % BLAS_LINES:
+        flat = np.concatenate([flat, np.zeros((n, -lines % BLAS_LINES))], axis=1)
+    out = flat.reshape(n, -1, BLAS_LINES).transpose(1, 2, 0) @ mat.T
+    return out.reshape(-1, mat.shape[0])[:lines].reshape(rest + mat.shape[:1])
+
+
 def _along_axes(x: np.ndarray, mats) -> np.ndarray:
     """Each (m, n) matrix of ``mats`` applied along its spatial axis of x
-    (spatial shape + (components,)): shape (m_1, ..., m_d, components).
-
-    The lines along an axis go to BLAS in zero-padded blocks of `BLAS_LINES`,
-    so every product has one shape: a line's result does not depend on how
-    many lines share the array (a lone line would take a matrix-vector
-    kernel, and few lines a small-matrix one).
-    """
+    (spatial shape + (components,)) by `_along_axis`: shape
+    (m_1, ..., m_d, components)."""
     for mat in mats:
-        n, rest = x.shape[0], x.shape[1:]
-        flat = x.reshape(n, -1)
-        lines = flat.shape[1]
-        if lines % BLAS_LINES:
-            flat = np.concatenate([flat, np.zeros((n, -lines % BLAS_LINES))], axis=1)
-        # contracting the leading axis appends the new one at the end
-        out = flat.reshape(n, -1, BLAS_LINES).transpose(1, 2, 0) @ mat.T
-        x = out.reshape(-1, mat.shape[0])[:lines].reshape(rest + mat.shape[:1])
+        x = _along_axis(x, mat)
     return np.moveaxis(x, 0, -1)
 
 
-def spectral_norms(mats: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix in a (P, r, c) stack."""
-    if mats.shape[-2:] == (1, 1):
-        return np.abs(mats[..., 0, 0])
-    if mats.shape[-2:] == (2, 2):
-        # closed form via the eigenvalues of M^T M
-        a, b = mats[..., 0, 0], mats[..., 0, 1]
-        c, d = mats[..., 1, 0], mats[..., 1, 1]
-        q = a * a + b * b + c * c + d * d
-        det = a * d - b * c
-        disc = np.sqrt(np.maximum(q * q - 4.0 * det * det, 0.0))
-        return np.sqrt(0.5 * (q + disc))
-    return np.linalg.svd(mats, compute_uv=False)[..., 0]
+def _group_sups(table, weights, h, values, jacobians):
+    """sup |F| and sup ||DF||_op over a lattice of each group of a padded
+    coefficient table (spatial shape + (groups, components per group)),
+    with the (value, derivative) weights of each axis; None where not asked.
+
+    The columns go group-major, component i of every group in one block, so
+    each component and each Jacobian entry is a contiguous block of lines.
+    The value lattice and the derivative lattice along each axis share their
+    leading `_along_axis` passes: 5 in place of 6 at d = 2.  The max over
+    the points is taken before the last rounded steps, which are monotone,
+    so it picks the same value as after them.  A 1x1 or 2x2 Jacobian has a
+    closed form, any other shape an SVD.
+    """
+    d = len(weights)
+    m, group = table.shape[-2:]
+    # keyed by the axis differentiated along so far, None for none
+    lattices = {None: table.swapaxes(-1, -2)}
+    for ax, (w, dw) in enumerate(weights):
+        prev, lattices = lattices, {}
+        for der, x in prev.items():
+            if der is not None or values or ax < d - 1:
+                lattices[der] = _along_axis(x, w)
+            if der is None and jacobians:
+                lattices[ax] = _along_axis(x, dw)
+    del prev
+    lattices = {der: x.reshape(group, m, -1) for der, x in lattices.items()}
+    sup_f = sup_df = None
+    if values:
+        v = lattices.pop(None)
+        sq = v[0] * v[0]
+        for i in range(1, group):
+            sq += v[i] * v[i]
+        sup_f = np.sqrt(sq.max(axis=1))
+    if jacobians:
+        # jac[j][i] holds the derivative of component i along axis j
+        jac = [lattices.pop(ax) for ax in range(d)]
+        for x in jac:
+            x /= h
+        if (group, d) == (1, 1):
+            sup_df = np.abs(jac[0][0]).max(axis=1)
+        elif (group, d) == (2, 2):
+            # closed form via the eigenvalues of J^T J
+            (j00, j10), (j01, j11) = jac
+            q = j00 * j00 + j01 * j01 + j10 * j10 + j11 * j11
+            det = j00 * j11 - j01 * j10
+            disc = np.sqrt(np.maximum(q * q - 4.0 * det * det, 0.0))
+            sup_df = np.sqrt(0.5 * (q + disc).max(axis=1))
+        else:
+            mats = np.moveaxis(np.stack(jac, axis=-1), 0, -2)
+            sup_df = np.linalg.svd(mats, compute_uv=False)[..., 0].max(axis=1)
+    return sup_f, sup_df
 
 
 def resampling_estimate(values: np.ndarray, h: float) -> float:
@@ -270,42 +313,41 @@ class _SplineField:
             self._nodes = np.stack([m.ravel() for m in mesh], axis=1)
         return self._nodes
 
-    def on_lattice(self, div: int, der: int | None = None) -> np.ndarray:
-        """Values, or the derivative along axis ``der``, at grid coordinates
-        i/div, i < div*n, on each axis of n nodes, in C order, by one
-        `_along_axes` product.  A periodic lattice stops before 1, which
-        repeats 0; compact points past the last node read only zero-margin
-        layers, so they are exact zeros.  ``on_lattice(1)`` is the node values."""
+    def on_lattice(self, div: int) -> np.ndarray:
+        """Values at grid coordinates i/div, i < div*n, on each axis of n
+        nodes, in C order, by one `_along_axes` product.  A periodic lattice
+        stops before 1, which repeats 0; compact points past the last node
+        read only zero-margin layers, so they are exact zeros.
+        ``on_lattice(1)`` is the node values."""
         table = self._table()[0][:, :self.ncomp]
-        mats = [_lattice_weights(n, div, ax == der) for ax, n in enumerate(self.shape)]
-        out = _along_axes(table.reshape(tuple(n + 4 for n in self.shape) + (-1,)), mats).reshape(-1, self.ncomp)
-        return out if der is None else out / self.h
+        mats = [_lattice_weights(n, div, False) for n in self.shape]
+        return _along_axes(table.reshape(tuple(n + 4 for n in self.shape) + (-1,)), mats).reshape(-1, self.ncomp)
 
-    def lattice_sups(self, div: int, group: int) -> tuple[np.ndarray, np.ndarray]:
-        """sup |F| and sup ||DF||_op on ``on_lattice(div)`` per ``group``
-        components, sampled ``max(1, 32 // group)`` groups at a time to bound
-        memory."""
-        d, step = self.dimension, max(1, 32 // group) * group
+    def lattice_sups(self, div: int, group: int, *, values: bool = True, jacobians: bool = True):
+        """sup |F| and sup ||DF||_op over the points of ``on_lattice(div)``,
+        per ``group`` components (`_group_sups`); a sup not asked for is
+        None.  The groups are sampled ``max(1, 32 // group)`` at a time to
+        bound memory."""
+        step = max(1, 32 // group) * group
+        padded = tuple(n + 4 for n in self.shape)
+        weights = [(_lattice_weights(n, div, False), _lattice_weights(n, div, True)) for n in self.shape]
         sup_f, sup_df = [], []
         for lo in range(0, self.ncomp, step):
             part = self if step >= self.ncomp else self.with_coeffs(self.coeffs[..., lo:lo + step])
-            vals = part.on_lattice(div)
-            jacs = np.stack([part.on_lattice(div, ax) for ax in range(d)], axis=-1)
-            m = part.ncomp // group
-            sup_f.append(np.linalg.norm(vals.reshape(-1, m, group), axis=2).max(axis=0))
-            sup_df.append(spectral_norms(jacs.reshape(-1, m, group, d)).max(axis=0))
-            # released before the next groups allocate their own
-            del vals, jacs
-        return np.concatenate(sup_f), np.concatenate(sup_df)
+            table = part._table()[0][:, :part.ncomp].reshape(padded + (-1, group))
+            f, df = _group_sups(table, weights, self.h, values, jacobians)
+            sup_f.append(f)
+            sup_df.append(df)
+        return (np.concatenate(sup_f) if values else None), (np.concatenate(sup_df) if jacobians else None)
 
     def alpha(self) -> float:
         """Conservative estimate of sup ||DF||_op over R^n."""
         if getattr(self, "_alpha", None) is None:
-            self._alpha = ALPHA_SAFETY * float(self.lattice_sups(ALPHA_DIV, self.ncomp)[1][0])
+            self._alpha = ALPHA_SAFETY * float(self.lattice_sups(ALPHA_DIV, self.ncomp, values=False)[1][0])
         return self._alpha
 
     def sup_seminorm(self) -> float:
-        return float(self.lattice_sups(ALPHA_DIV, self.ncomp)[0][0])
+        return float(self.lattice_sups(ALPHA_DIV, self.ncomp, jacobians=False)[0][0])
 
     # -- linear structure --------------------------------------------------
     def _check_geometry(self, other: "_SplineField"):

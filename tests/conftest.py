@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from evolflow.lp_space import GridError, LpSample, TimeGrid
+from evolflow.vector_field import _along_axes, _lattice_weights
 
 
 @pytest.fixture
@@ -54,3 +55,45 @@ def lattice_points(f, div: int) -> np.ndarray:
 def displaced(disp, points: np.ndarray) -> np.ndarray:
     """(id + disp)(points) for a displacement field and points of shape (N, d)."""
     return points + disp.eval(points)
+
+
+# -- the lattice sups, formulated one lattice at a time ------------------------
+
+def spectral_norms(mats: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a (P, r, c) stack."""
+    if mats.shape[-2:] == (1, 1):
+        return np.abs(mats[..., 0, 0])
+    if mats.shape[-2:] == (2, 2):
+        # closed form via the eigenvalues of M^T M
+        a, b = mats[..., 0, 0], mats[..., 0, 1]
+        c, d = mats[..., 1, 0], mats[..., 1, 1]
+        q = a * a + b * b + c * c + d * d
+        det = a * d - b * c
+        disc = np.sqrt(np.maximum(q * q - 4.0 * det * det, 0.0))
+        return np.sqrt(0.5 * (q + disc))
+    return np.linalg.svd(mats, compute_uv=False)[..., 0]
+
+
+def on_lattice(f, div: int, der: int | None = None) -> np.ndarray:
+    """Values, or the derivative along axis ``der``, of f at the points of
+    ``f.on_lattice(div)``, by one `_along_axes` product each."""
+    table = f._table()[0][:, :f.ncomp]
+    mats = [_lattice_weights(n, div, ax == der) for ax, n in enumerate(f.shape)]
+    out = _along_axes(table.reshape(tuple(n + 4 for n in f.shape) + (-1,)), mats).reshape(-1, f.ncomp)
+    return out if der is None else out / f.h
+
+
+def lattice_sups(f, div: int, group: int) -> tuple[np.ndarray, np.ndarray]:
+    """sup |F| and sup ||DF||_op per ``group`` components over the lattice:
+    the value lattice and the stacked derivative lattices of each batch of
+    ``max(1, 32 // group)`` groups, normed at every point, then maxed."""
+    d, step = f.dimension, max(1, 32 // group) * group
+    sup_f, sup_df = [], []
+    for lo in range(0, f.ncomp, step):
+        part = f if step >= f.ncomp else f.with_coeffs(f.coeffs[..., lo:lo + step])
+        vals = on_lattice(part, div)
+        jacs = np.stack([on_lattice(part, div, ax) for ax in range(d)], axis=-1)
+        m = part.ncomp // group
+        sup_f.append(np.linalg.norm(vals.reshape(-1, m, group), axis=2).max(axis=0))
+        sup_df.append(spectral_norms(jacs.reshape(-1, m, group, d)).max(axis=0))
+    return np.concatenate(sup_f), np.concatenate(sup_df)

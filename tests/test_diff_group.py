@@ -18,8 +18,8 @@ from evolflow.diff_group import (
 )
 from evolflow.instances import plateau_weight, random_plateau_field
 from evolflow.lp_space import TimeGrid
-from evolflow.vector_field import CompactField, PeriodicField, resampling_estimate, save_field, spectral_norms
-from conftest import displaced, lattice_points, stack_fields, unstack
+from evolflow.vector_field import CompactField, PeriodicField, resampling_estimate, save_field
+from conftest import displaced, lattice_points, spectral_norms, stack_fields, unstack
 
 
 def plateau_translation_1d(a: float, grid: int = 129) -> CompactField:

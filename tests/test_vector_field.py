@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
-from conftest import lattice_points
+from conftest import lattice_points, lattice_sups, on_lattice, spectral_norms
 
 from evolflow.instances import plateau_weight, random_plateau_field
 from evolflow.vector_field import (
+    ALPHA_DIV,
     ALPHA_SAFETY,
     COMPOSE_ENTRIES,
     CompactField,
@@ -19,7 +20,6 @@ from evolflow.vector_field import (
     load_field,
     resampling_estimate,
     save_field,
-    spectral_norms,
     vf_compose_displacement,
 )
 
@@ -176,7 +176,7 @@ def test_lattice_sampler_matches_scattered_kernel(periodic, d, div, seed):
     pts = lattice_points(f, div)
     tol = 1e-13 * np.max(np.abs(f.coeffs))
     vals, jacs = f.on_lattice(div), f.jacobian(pts)
-    ders = [f.on_lattice(div, der=ax) for ax in range(d)]
+    ders = [on_lattice(f, div, der=ax) for ax in range(d)]
     assert vals.shape == (len(pts), 2)
     assert np.max(np.abs(vals - f.eval(pts))) <= tol
     for ax in range(d):
@@ -189,6 +189,35 @@ def test_lattice_sampler_matches_scattered_kernel(periodic, d, div, seed):
         assert past.any() == (div > 1)
         assert np.all(vals[past] == 0.0)
         assert all(np.all(der[past] == 0.0) for der in ders)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_lattice_sups_match_the_lattice_by_lattice_oracle(periodic, d, rng):
+    # shared passes, group-major columns and the sup taken before the root
+    # give the bits of the lattices normed point by point; the component
+    # counts are and are not whole batches (32 components, 30 for group 3)
+    def field(ncomp):
+        if periodic:
+            return PeriodicField(rng.normal(size=(6,) * d + (ncomp,)))
+        return CompactField(rng.uniform(-1.0, 1.0, size=d), 0.3, rng.normal(size=(7, 6, 5)[:d] + (ncomp,)))
+
+    for group in sorted({1, 2, d}):
+        step = 32 // group * group
+        for ncomp in (group, 2 * step, 2 * step + 5 * group):
+            f = field(ncomp)
+            for div in (1, 2):
+                want = lattice_sups(f, div, group)
+                got = f.lattice_sups(div, group)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (group, ncomp, div)
+                assert np.array_equal(f.lattice_sups(div, group, values=False)[1], want[1])
+                assert np.array_equal(f.lattice_sups(div, group, jacobians=False)[0], want[0])
+                assert f.lattice_sups(div, group, values=False)[0] is None
+                assert f.lattice_sups(div, group, jacobians=False)[1] is None
+        f = field(group)
+        sup_f, sup_df = lattice_sups(f, ALPHA_DIV, group)
+        assert f.alpha() == ALPHA_SAFETY * float(sup_df[0])
+        assert f.sup_seminorm() == float(sup_f[0])
 
 
 # -- alpha -------------------------------------------------------------------
@@ -341,13 +370,13 @@ def test_with_values_matches_per_component_filter(periodic, ncomp, rng):
             vals = rng.normal(size=f.shape + (nvals,))
             g = f.with_values(vals)
             assert g.ncomp == nvals
-            lattices = {(div, der): g.on_lattice(div, der) for div, der in [(1, None), (2, None), (2, d - 1)]}
+            lattices = {(div, der): on_lattice(g, div, der) for div, der in [(1, None), (2, None), (2, d - 1)]}
             for lo, hi in [(0, 1), (1, 2), (0, 2), (3, 6), (nvals - 1, nvals)]:
                 if hi <= nvals:
                     alone = f.with_values(vals[..., lo:hi])
                     assert np.array_equal(alone.coeffs, g.coeffs[..., lo:hi]), (f.shape, nvals, lo, hi)
                     for (div, der), lattice in lattices.items():
-                        got = alone.on_lattice(div, der)
+                        got = on_lattice(alone, div, der)
                         assert np.array_equal(got, lattice[:, lo:hi]), (f.shape, nvals, lo, hi, div, der)
 
 
