@@ -6,9 +6,11 @@ compare two such trees.
 
 Each instance config of every workload in ``perfbench/workloads.py`` runs
 through ``evolflow.cli.main`` into ``OUT/<workload>_<seed>_<i>/``, with BLAS
-pinned to one thread.  ``--threads`` overrides the workload's thread count
-(the outputs must not depend on it).  The exit code is 1 if any call exits
-with a code other than 0.
+pinned to one thread, and so does ``configs/continuity_reference.json``,
+once, into ``OUT/continuity_reference/`` (no seed changes it).
+``--threads`` overrides the workloads' thread count (the outputs must not
+depend on it).  The exit code is 1 if any call exits with a code other
+than 0.
 
 Run it in two checkouts, then ``--compare`` the trees.  For every CSV file
 on both sides it prints, per column, the largest absolute difference and
@@ -47,20 +49,23 @@ from evolflow.vector_field import load_field  # noqa: E402
 
 
 def write_outputs(out: Path, seeds: list[int], threads: int | None) -> int:
-    failed = 0
+    calls = []
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:
             for name in workloads.NAMES:
                 wl = workloads.make(name, seed)
-                n_threads = wl.threads if threads is None else threads
                 for i, cfg in enumerate(wl.configs):
                     config = Path(tmp) / f"{name}_{seed}_{i}.json"
                     config.write_text(json.dumps(cfg))
-                    target = out / f"{name}_{seed}_{i}"
-                    code = cli.main([wl.command, "--config", str(config), "--out", str(target),
-                                     "--threads", str(n_threads)])
-                    print(f"{target.name}: exit {code}")
-                    failed += code != 0
+                    calls.append((wl.command, config, out / f"{name}_{seed}_{i}", wl.threads))
+        reference = ROOT / "configs" / "continuity_reference.json"
+        calls.append(("continuity-study", reference, out / "continuity_reference", workloads.THREADS))
+        failed = 0
+        for command, config, target, n_threads in calls:
+            code = cli.main([command, "--config", str(config), "--out", str(target),
+                             "--threads", str(n_threads if threads is None else threads)])
+            print(f"{target.name}: exit {code}")
+            failed += code != 0
     return 1 if failed else 0
 
 

@@ -293,10 +293,11 @@ def _picard_march(gamma, grid, cellmap, nodes, tol, lead=None, record=None):
     (rounded up) and the certificate change max |T(zeta) - zeta|.
 
     ``record`` (ncells, S, d), if given, receives how far each block moved:
-    the knots it last read minus its start.  ``lead``, if given, holds those
-    moves of a nearby solve on the same grid and is added to each block's
-    start, so a block starts where that solve's block ended.  The stop rule
-    and the certificate do not change.
+    the knots it last read minus its start.  ``lead``, if given, holds
+    (weight, moves) pairs of such records of nearby solves on the same grid;
+    each block's start is moved by the weighted sum of their moves, so with
+    one record of weight 1 a block starts where that solve's block ended.
+    The stop rule and the certificate do not change.
     """
     w = grid.widths()
     mids = grid.midpoints()
@@ -310,7 +311,9 @@ def _picard_march(gamma, grid, cellmap, nodes, tol, lead=None, record=None):
         hi = min(lo + MARCH_BLOCK, ncells)
         block = zeta[lo:hi + 1]
         guess = start if lo == 0 else start + _predict(mids, w, cellmap, lo, hi, g[lo - MARCH_BLOCK:lo])
-        block[1:] = guess if lead is None else guess + lead[lo:hi]
+        block[1:] = guess
+        for weight, moves in lead or ():
+            block[1:] += weight * moves[lo:hi]
         change = np.inf
         stalled = 0
         for it in range(1, PICARD_MAX_ITER + 1):
@@ -369,20 +372,26 @@ def _budgeted_march(gamma, nodes, L, tol, finest_dt, lead=None, record=None):
     ``record``, if given, maps the cell width of each march to how far each
     of its blocks moved from its start (`_picard_march`), or to None for a
     split above ``finest_dt`` whose declared time error exceeds
-    `LEAD_SPLIT_MARGIN` times the budget.  ``lead``, if given, is the record
-    of a nearby solve of the same window: its leading None splits are
-    skipped, and each march on a width it holds moves for starts its blocks
-    that far from their own starts.
+    `LEAD_SPLIT_MARGIN` times the budget.  ``lead``, if given, holds
+    (weight, record) pairs of such records of nearby solves of the same
+    window, the base's first: the base's leading None splits are skipped.  A
+    march on a width for which every record holds moves starts its blocks
+    the weighted sum of those moves from their own starts, and one for which
+    only the base does starts them the base's moves from them.
     """
-    lead = lead or {}
+    lead = lead or [(1.0, {})]
+    base = lead[0][1]
     dt = max(COARSEST_DT, finest_dt)
-    while dt > finest_dt and dt in lead and lead[dt] is None:
+    while dt > finest_dt and dt in base and base[dt] is None:
         dt = max(0.5 * dt, finest_dt)
     resolves = 0
     while True:
         grid, cellmap = gamma.refined(dt)
         moves = None if record is None else np.empty((grid.ncells,) + nodes.shape)
-        zeta, g, iters, change = _picard_march(gamma, grid, cellmap, nodes, tol, lead.get(dt), moves)
+        terms = [(weight, window.get(dt)) for weight, window in lead]
+        if any(m is None for _, m in terms):
+            terms = None if base.get(dt) is None else [(1.0, base[dt])]
+        zeta, g, iters, change = _picard_march(gamma, grid, cellmap, nodes, tol, terms, moves)
         time_error = _time_error(g, grid.widths(), cellmap, L)
         if record is not None:
             # a led solve skips such a split, so its moves are not kept
@@ -496,8 +505,10 @@ def evolve(
 
     For `continuity_probe`, a dict passed as ``record`` receives the marches
     of each window (`_budgeted_march`) keyed by (n, mapped knots, source
-    cells); a window whose key is in ``leads``, such a record of a base
-    solve, is solved from that entry.
+    cells).  ``leads`` holds (weight, record) pairs of such records, the
+    base solve's first; a window whose key is in the base's record is solved
+    from the entries of every record (`_budgeted_march`), an empty one where
+    a record lacks the key.
     """
     n = forced_n if forced_n is not None else choose_subdivision(gamma, L_max)
     A = gamma.proto.zero_like()
@@ -510,7 +521,7 @@ def evolve(
         key = (n, grid.knots.tobytes(), tuple(cells))
         if key not in solved:
             marches = None if record is None else record.setdefault(key, {})
-            lead = None if leads is None else leads.get(key)
+            lead = None if leads is None or key not in leads[0][1] else [(w, rec.get(key, {})) for w, rec in leads]
             solved[key] = local_evolve(gamma.subdivide(n, k), L_max, tol, FINEST_DT * n, lead, marches)
         seg = solved[key]
         segments.append(seg.segments[0])
@@ -556,18 +567,31 @@ def continuity_probe(
     """Distances of evolve(gamma + 2^-k delta) to evolve(gamma), k < levels.
 
     Each perturbed window that matches a base window in n, mapped knots and
-    source cells is solved from the base's record of it (`_budgeted_march`).
-    The record is only read while the levels run, so their order and thread
-    count cannot change the outputs.
+    source cells is solved from records of how far the blocks of nearby
+    solves moved (`_budgeted_march`), as functions of the scale s = 2^-k:
+    level 0 (s = 1) from the base's (s = 0), level 1 from their mean, and
+    each later level from the quadratic through the base and levels 0 and 1
+    at s.  Levels 0 and 1 run first, in order; the records are only read
+    while the other levels run, so their order and thread count cannot
+    change the outputs.
     """
     if levels < 2:
         raise ValueError("need at least two levels")
     record: dict = {}
     base = evolve(gamma, record=record, **evolve_kwargs)
 
-    def one(k: int) -> tuple[float, float]:
+    def one(k: int, leads: list, record: dict | None = None) -> tuple[float, float]:
         scale = 2.0 ** (-k)
-        pert = evolve(gamma + delta.scaled(scale), leads=record, **evolve_kwargs)
+        pert = evolve(gamma + delta.scaled(scale), leads=leads, record=record, **evolve_kwargs)
         return scale, group_path_distance(pert.path, base.path, p=gamma.p)
 
-    return ordered_thread_map(one, range(levels), threads)
+    r0, r1 = {}, {}
+    first = [one(0, [(1.0, record)], r0), one(1, [(0.5, record), (0.5, r0)], r1)]
+
+    def quadratic(k: int) -> tuple[float, float]:
+        # the Lagrange weights of the nodes s = 0, 1 and 1/2 at s
+        s = 2.0 ** (-k)
+        weights = (2.0 * (s - 1.0) * (s - 0.5), 2.0 * s * (s - 0.5), -4.0 * s * (s - 1.0))
+        return one(k, list(zip(weights, (record, r0, r1))))
+
+    return first + ordered_thread_map(quadratic, range(2, levels), threads)
