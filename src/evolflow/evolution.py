@@ -374,10 +374,10 @@ def _budgeted_march(gamma, nodes, L, tol, finest_dt, lead=None, record=None):
     split above ``finest_dt`` whose declared time error exceeds
     `LEAD_SPLIT_MARGIN` times the budget.  ``lead``, if given, holds
     (weight, record) pairs of such records of nearby solves of the same
-    window, the base's first: the base's leading None splits are skipped.  A
-    march on a width for which every record holds moves starts its blocks
-    the weighted sum of those moves from their own starts, and one for which
-    only the base does starts them the base's moves from them.
+    window, the base's first: the base's leading None splits are skipped.
+    A march on a width for which every record holds moves moves each
+    block's start by the weighted sum of those moves; where only the base's
+    holds moves, by the base's moves alone.
     """
     lead = lead or [(1.0, {})]
     base = lead[0][1]
@@ -580,9 +580,9 @@ def continuity_probe(
     record: dict = {}
     base = evolve(gamma, record=record, **evolve_kwargs)
 
-    def one(k: int, leads: list, record: dict | None = None) -> tuple[float, float]:
+    def one(k: int, leads: list, anchor: dict | None = None) -> tuple[float, float]:
         scale = 2.0 ** (-k)
-        pert = evolve(gamma + delta.scaled(scale), leads=leads, record=record, **evolve_kwargs)
+        pert = evolve(gamma + delta.scaled(scale), leads=leads, record=anchor, **evolve_kwargs)
         return scale, group_path_distance(pert.path, base.path, p=gamma.p)
 
     r0, r1 = {}, {}

@@ -152,7 +152,9 @@ def _group_sups(table, weights, h, values, jacobians):
                 lattices[der] = _along_axis(x, w)
             if der is None and jacobians:
                 lattices[ax] = _along_axis(x, dw)
-    del prev
+    # each lattice is released as soon as it is read, before the next
+    # temporaries allocate
+    del prev, x
     lattices = {der: x.reshape(group, m, -1) for der, x in lattices.items()}
     sup_f = sup_df = None
     if values:
@@ -161,6 +163,7 @@ def _group_sups(table, weights, h, values, jacobians):
         for i in range(1, group):
             sq += v[i] * v[i]
         sup_f = np.sqrt(sq.max(axis=1))
+        del v, sq
     if jacobians:
         # jac[j][i] holds the derivative of component i along axis j
         jac = [lattices.pop(ax) for ax in range(d)]
@@ -169,12 +172,24 @@ def _group_sups(table, weights, h, values, jacobians):
         if (group, d) == (1, 1):
             sup_df = np.abs(jac[0][0]).max(axis=1)
         elif (group, d) == (2, 2):
-            # closed form via the eigenvalues of J^T J
+            # closed form via the eigenvalues of J^T J, in place, with the
+            # roundings of q = a*a + b*b + c*c + d*d, det = a*d - b*c and
+            # q + sqrt(max(q*q - 4*det*det, 0))
             (j00, j10), (j01, j11) = jac
-            q = j00 * j00 + j01 * j01 + j10 * j10 + j11 * j11
-            det = j00 * j11 - j01 * j10
-            disc = np.sqrt(np.maximum(q * q - 4.0 * det * det, 0.0))
-            sup_df = np.sqrt(0.5 * (q + disc).max(axis=1))
+            q = j00 * j00
+            q += j01 * j01
+            q += j10 * j10
+            q += j11 * j11
+            det = j00 * j11
+            det -= j01 * j10
+            del jac, x, j00, j01, j10, j11
+            disc = q * q
+            det *= 4.0 * det
+            disc -= det
+            del det
+            np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
+            disc += q
+            sup_df = np.sqrt(0.5 * disc.max(axis=1))
         else:
             mats = np.moveaxis(np.stack(jac, axis=-1), 0, -2)
             sup_df = np.linalg.svd(mats, compute_uv=False)[..., 0].max(axis=1)
