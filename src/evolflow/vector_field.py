@@ -159,6 +159,7 @@ def _group_sups(table, weights, h, values, jacobians):
     sup_f = sup_df = None
     if values:
         v = lattices.pop(None)
+        # the squares summed in order, as np.linalg.norm sums a short axis
         sq = v[0] * v[0]
         for i in range(1, group):
             sq += v[i] * v[i]
