@@ -6,8 +6,11 @@ compare two such trees.
 
 Each instance config of every workload in ``perfbench/workloads.py`` runs
 through ``evolflow.cli.main`` into ``OUT/<workload>_<seed>_<i>/``, with BLAS
-pinned to one thread, and so does ``configs/continuity_reference.json``,
-once, into ``OUT/continuity_reference/`` (no seed changes it).
+pinned to one thread.  So do ``configs/continuity_reference.json`` and
+``configs/oracle_equivalence.json``, once each, into
+``OUT/continuity_reference/`` and ``OUT/oracle_equivalence/`` (no seed
+changes them); the latter's 20 cases step through the RK4 oracle as one
+batch.
 ``--threads`` overrides the workloads' thread count (the outputs must not
 depend on it).  The exit code is 1 if any call exits with a code other
 than 0.
@@ -58,8 +61,8 @@ def write_outputs(out: Path, seeds: list[int], threads: int | None) -> int:
                     config = Path(tmp) / f"{name}_{seed}_{i}.json"
                     config.write_text(json.dumps(cfg))
                     calls.append((wl.command, config, out / f"{name}_{seed}_{i}", wl.threads))
-        reference = ROOT / "configs" / "continuity_reference.json"
-        calls.append(("continuity-study", reference, out / "continuity_reference", workloads.THREADS))
+        for command, name in (("continuity-study", "continuity_reference"), ("evolve", "oracle_equivalence")):
+            calls.append((command, ROOT / "configs" / f"{name}.json", out / name, workloads.THREADS))
         failed = 0
         for command, config, target, n_threads in calls:
             code = cli.main([command, "--config", str(config), "--out", str(target),

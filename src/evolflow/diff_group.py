@@ -145,7 +145,9 @@ def group_path_distance(pa: GroupPath, pb: GroupPath, p: float = 1.0) -> float:
     grid = pa.grid.refine(pb.grid)
     mids = grid.midpoints()
     d = pa.stacked.dimension
-    start_d = np.add(*(pa.start - pb.start).lattice_sups(DISTANCE_DIV, d))[0]
+    start = pa.start - pb.start
+    # paths that `evolve` returns all start at the zero field, whose sups are 0
+    start_d = np.add(*start.lattice_sups(DISTANCE_DIV, d))[0] if start.coeffs.any() else 0.0
     cells = list(zip(pa.grid.cell_of(mids).tolist(), pb.grid.cell_of(mids).tolist()))
     # dedupe: coarse cells repeat across the common refinement
     keys = list(dict.fromkeys(cells))

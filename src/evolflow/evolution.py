@@ -409,26 +409,60 @@ def _budgeted_march(gamma, nodes, L, tol, finest_dt, lead=None, record=None):
 
 # -- reference integrator --------------------------------------------------
 
-def rk4_points(gamma: TimeVelocity, xs: np.ndarray, steps: int) -> np.ndarray:
-    """Classical RK4 trajectories, freezing gamma per its own time cells.
+def rk4_points(gamma: TimeVelocity | list[TimeVelocity], xs: np.ndarray, steps: int) -> np.ndarray:
+    """Classical RK4 trajectories of the points xs (S, d), freezing the
+    velocity per its own time cells: knot values of shape (steps+1, S, d).
+    It is the oracle of the CLI's `evolve` and of the tests.
 
-    Returns knot values of shape (steps+1, S, d).  Test oracle only.
+    ``gamma`` is a TimeVelocity, or a sequence of them with one field class,
+    geometry, component count and time grid, stepped as one batch: the
+    points go to them in equal consecutive runs, and each point reads its
+    own velocity's coefficients from their tables laid one after another.
+
+    A stage gathers the points' coefficient patches again only when a point
+    has left the grid cell of the last gather in the same time cell; points
+    move a small part of a cell per step, so most stages reuse the held
+    patches.  The floors compare exactly, and a NaN floor never equals
+    itself, so every stage reads the patches `eval` would gather: the
+    trajectories are bit for bit those of stepping each velocity with
+    `_SplineField.eval`.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
+    gammas = [gamma] if isinstance(gamma, TimeVelocity) else list(gamma)
+    proto, grid = gammas[0].proto, gammas[0].grid
+    for g in gammas[1:]:
+        proto._check_geometry(g.proto)
+        if g.proto.ncomp != proto.ncomp or not np.array_equal(g.grid.knots, grid.knots):
+            raise ValueError("a batch of velocities shares its components and its time grid")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    if len(xs) % len(gammas):
+        raise ValueError(f"{len(xs)} points do not split evenly among {len(gammas)} velocities")
+    # each point's first row in the tables of its time cell, laid one after another
+    rows = np.repeat(np.arange(len(gammas)) * proto._table()[0].shape[0], len(xs) // len(gammas))
     dt = 1.0 / steps
     mids = (np.arange(steps) + 0.5) * dt
-    cells = gamma.grid.cell_of(mids)
+    cells = grid.cell_of(mids)
     traj = np.empty((steps + 1,) + xs.shape)
     y = xs.copy()
     traj[0] = y
+    cell = held = None
+
+    def velocity(pts):
+        nonlocal held
+        ufl, frac = proto._locate(pts)
+        if held is None or (ufl != held[0]).any():
+            held = ufl, proto._patch(ufl, table, rows)
+        return proto._on_patch(frac, held[1])
+
     for j in range(steps):
-        F = gamma.fields[cells[j]]
-        k1 = F.eval(y)
-        k2 = F.eval(y + 0.5 * dt * k1)
-        k3 = F.eval(y + 0.5 * dt * k2)
-        k4 = F.eval(y + dt * k3)
+        if cells[j] != cell:
+            cell, held = cells[j], None
+            table = np.concatenate([g.fields[cell]._table()[0] for g in gammas])
+        k1 = velocity(y)
+        k2 = velocity(y + 0.5 * dt * k1)
+        k3 = velocity(y + 0.5 * dt * k2)
+        k4 = velocity(y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         traj[j + 1] = y
     return traj

@@ -261,17 +261,30 @@ class _SplineField:
             self._tab = (cpad.reshape(-1, cpad.shape[-1]), strides.astype(float), offs, n)
         return self._tab
 
-    def _gather(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """Fractional grid coordinates (P, d) and the 4^d coefficient patch
-        (P, 4^d, columns of the table) around each point."""
+    def _locate(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """The floors (P, d) of the points' grid coordinates, which pick
+        their patches, and the fractional parts, which weight them."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        cflat, strides, offs, n = self._table()
-        u = self._grid_coords(points, n)
+        u = self._grid_coords(points, self._table()[3])
         ufl = np.floor(u)
-        # grid coordinates lie in [0, n], so every patch is inside the table;
-        # the clip keeps a NaN point's patch there too, and its weights are NaN
-        base = (ufl @ strides).astype(np.int64)
-        return u - ufl, np.take(cflat, base[:, None] + offs, axis=0, mode="clip")
+        return ufl, u - ufl
+
+    def _patch(self, ufl: np.ndarray, cflat: np.ndarray | None = None, rows=0) -> np.ndarray:
+        """The 4^d coefficient patch (P, 4^d, columns of the table) at each
+        floor of `_locate`: from this field's table, or from ``cflat``, tables
+        of fields of this geometry one after another, with each point's first
+        row ``rows`` added to its base index."""
+        table, strides, offs, _ = self._table()
+        # grid coordinates lie in [0, n], so every patch is inside its table;
+        # the clip keeps a NaN point's patch inside the table it reads, and its weights are NaN
+        base = (ufl @ strides).astype(np.int64) + rows
+        return np.take(table if cflat is None else cflat, base[:, None] + offs, axis=0, mode="clip")
+
+    def _gather(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Fractional grid coordinates (P, d) and the coefficient patch
+        around each point."""
+        ufl, frac = self._locate(points)
+        return frac, self._patch(ufl)
 
     @staticmethod
     def _contract(ws, patch: np.ndarray) -> np.ndarray:
@@ -282,7 +295,11 @@ class _SplineField:
         return patch
 
     def eval(self, points: np.ndarray) -> np.ndarray:
-        frac, patch = self._gather(points)
+        return self._on_patch(*self._gather(points))
+
+    def _on_patch(self, frac: np.ndarray, patch: np.ndarray) -> np.ndarray:
+        """Values at the fractional grid coordinates (P, d) on their patches
+        (P, 4^d, columns), as `eval` gives them."""
         W = _weights(frac)  # (P, d, 4)
         out = self._contract([W[:, ax] for ax in range(self.dimension)], patch)
         # only a lone component has a zero partner to drop: slicing every

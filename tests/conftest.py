@@ -97,3 +97,24 @@ def lattice_sups(f, div: int, group: int) -> tuple[np.ndarray, np.ndarray]:
         sup_f.append(np.linalg.norm(vals.reshape(-1, m, group), axis=2).max(axis=0))
         sup_df.append(spectral_norms(jacs.reshape(-1, m, group, d)).max(axis=0))
     return np.concatenate(sup_f), np.concatenate(sup_df)
+
+
+# -- the RK4 oracle, formulated one eval call per stage ------------------------
+
+def rk4_by_eval(gamma, xs: np.ndarray, steps: int) -> np.ndarray:
+    """Knot values (steps+1, S, d) of classical RK4 from xs, freezing the
+    velocity per its own time cells, with one ``eval`` of the cell's field
+    per stage: what `rk4_points` computes from held patches."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    dt = 1.0 / steps
+    cells = gamma.grid.cell_of((np.arange(steps) + 0.5) * dt)
+    traj = np.empty((steps + 1,) + xs.shape)
+    y = traj[0] = xs
+    for j in range(steps):
+        f = gamma.fields[cells[j]]
+        k1 = f.eval(y)
+        k2 = f.eval(y + 0.5 * dt * k1)
+        k3 = f.eval(y + 0.5 * dt * k2)
+        k4 = f.eval(y + dt * k3)
+        y = traj[j + 1] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return traj

@@ -271,6 +271,16 @@ def test_distance_matches_per_cell_definition(phi, psi, chi):
     assert got == pytest.approx(expect, rel=1e-12, abs=1e-15)
 
 
+def test_distance_counts_a_start_difference_alone(phi, psi):
+    # with equal densities the distance is the start term alone; it is
+    # skipped, as exactly 0, only when the starts agree in every coefficient
+    grid, density = TimeGrid.uniform(0.0, 1.0, 2), stack_fields([phi, psi])
+    ga = GroupPath(grid, density, start=psi.scaled(1e-3))
+    gb = GroupPath(grid, density)
+    assert group_path_distance(ga, gb) == pytest.approx(cr_seminorm(psi.scaled(1e-3)), rel=1e-12)
+    assert group_path_distance(gb, GroupPath(grid, density)) == 0.0
+
+
 def test_distance_sup_variant_dominates(phi, psi, chi):
     ga = GroupPath(TimeGrid.uniform(0.0, 1.0, 2), stack_fields([phi, psi]))
     gb = GroupPath(TimeGrid.uniform(0.0, 1.0, 2), stack_fields([chi, chi]))

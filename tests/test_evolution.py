@@ -34,7 +34,7 @@ from evolflow.instances import (
 )
 from evolflow.lp_space import TimeGrid, lp_norm
 from evolflow.vector_field import _SplineField
-from conftest import displaced, stack_fields, unstack
+from conftest import displaced, rk4_by_eval, stack_fields, unstack
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +108,67 @@ def test_rk4_fourth_order(rotation):
     e1 = np.max(np.abs(rk4_points(rotation, xs, 16)[-1] - ref))
     e2 = np.max(np.abs(rk4_points(rotation, xs, 32)[-1] - ref))
     assert e1 / e2 == pytest.approx(16.0, rel=0.25)
+
+
+def _cell_change_share(gamma, traj) -> float:
+    """Share of the RK4 steps in which some point's grid cell changes."""
+    floors = gamma.proto._locate(traj.reshape(-1, gamma.dimension))[0].reshape(traj.shape)
+    return float(np.mean(np.any(np.diff(floors, axis=0) != 0, axis=(1, 2))))
+
+
+@pytest.mark.parametrize("case", ["compact_2d", "periodic_wrap", "fast", "one_component_1d", "compact_3d"])
+def test_rk4_points_steps_bit_for_bit_as_eval(case):
+    rng = np.random.default_rng(11)
+    gamma, xs, steps = {
+        "compact_2d": lambda: (random_smooth_velocity(7, grid=16, cells=3), rng.uniform(0.15, 0.85, (40, 2)), 256),
+        "periodic_wrap": lambda: (random_smooth_torus_velocity(7, grid=12, cells=2, target_bound=3.0),
+                                  rng.uniform(0.0, 1.0, (40, 2)), 256),
+        "fast": lambda: (random_smooth_velocity(7, grid=12, cells=2, target_bound=5.0),
+                         rng.uniform(0.3, 0.7, (20, 2)), 16),
+        "one_component_1d": lambda: (random_smooth_velocity(7, dim=1, grid=16, cells=2),
+                                     rng.uniform(0.15, 0.85, (20, 1)), 256),
+        "compact_3d": lambda: (random_smooth_velocity(7, dim=3, grid=10, cells=2), rng.uniform(0.2, 0.8, (20, 3)), 64),
+    }[case]()
+    got = rk4_points(gamma, xs, steps)
+    assert got.shape == (steps + 1,) + xs.shape
+    assert np.array_equal(got, rk4_by_eval(gamma, xs, steps))
+    if case == "periodic_wrap":
+        # some points leave the unit cell, so their grid coordinates wrap
+        assert np.any(np.floor(got[-1]) != np.floor(got[0]))
+    if case == "fast":
+        assert _cell_change_share(gamma, got) > 0.5
+
+
+def test_rk4_points_nan_start_gives_a_nan_row():
+    # a NaN point's floors never equal the held ones, so it gathers at every stage
+    gamma = random_smooth_velocity(7, grid=16, cells=2)
+    xs = np.random.default_rng(3).uniform(0.2, 0.8, (6, 2))
+    xs[2] = np.nan
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in cast"):
+        got = rk4_points(gamma, xs, 64)
+        ref = rk4_by_eval(gamma, xs, 64)
+    assert np.all(np.isnan(got[:, 2]))
+    assert np.array_equal(got, ref, equal_nan=True)
+    ok = np.isfinite(xs).all(axis=1)
+    assert np.array_equal(got[:, ok], rk4_points(gamma, xs[ok], 64))
+
+
+def test_rk4_points_steps_a_batch_as_each_case_alone():
+    rng = np.random.default_rng(12)
+    gammas = [random_smooth_velocity(seed, grid=16, cells=2, target_bound=0.5) for seed in (1, 2, 3)]
+    starts = [rng.uniform(0.15, 0.85, (30, 2)) for _ in gammas]
+    got = rk4_points(gammas, np.concatenate(starts), 512)
+    alone = [rk4_points(g, xs, 512) for g, xs in zip(gammas, starts)]
+    assert np.array_equal(got, np.concatenate(alone, axis=1))
+    assert np.array_equal(got, np.concatenate([rk4_by_eval(g, xs, 512) for g, xs in zip(gammas, starts)], axis=1))
+    # at 90 points some stage of the batch gathers where a case alone would not
+    assert _cell_change_share(gammas[0], got) > max(_cell_change_share(g, t) for g, t in zip(gammas, alone))
+    with pytest.raises(ValueError, match="do not split evenly"):
+        rk4_points(gammas, np.concatenate(starts)[:-1], 4)
+    with pytest.raises(ValueError, match="different grids"):
+        rk4_points([gammas[0], random_smooth_torus_velocity(1, grid=16, cells=2)], np.concatenate(starts[:2]), 4)
+    with pytest.raises(ValueError, match="time grid"):
+        rk4_points([gammas[0], random_smooth_velocity(4, grid=16, cells=4)], np.concatenate(starts[:2]), 4)
 
 
 # -- the march against the global sweep ----------------------------------------
