@@ -24,8 +24,10 @@ files present on one side only, CSV files whose row count differs, and
 other files whose bytes differ.  For a field file (``.cfld``) whose bytes
 differ it prints the largest absolute and relative coefficient difference,
 also kept per file name as the ``coefficients`` column, or "geometry
-differs".  The exit code is 1 if any file is on one side only or a CSV
-file's row count differs.
+differs".  Its last line, ``byte-identical: K of N files``, counts the
+files whose bytes are the same on both sides among the N found on either.
+The exit code is 1 if any file is on one side only or a CSV file's row
+count differs.
 """
 
 from __future__ import annotations
@@ -123,10 +125,13 @@ def compare(a: Path, b: Path) -> int:
             print(f"only in {side}: {rel}")
             mismatched += 1
     summary: dict[tuple[str, str], list[float]] = {}
+    identical = 0
     for rel in sorted(files_a & files_b):
         pa, pb = a / rel, b / rel
+        same = pa.read_bytes() == pb.read_bytes()
+        identical += same
         if rel.suffix != ".csv":
-            if pa.read_bytes() == pb.read_bytes():
+            if same:
                 continue
             if rel.suffix != ".cfld":
                 print(f"{rel}: bytes differ")
@@ -159,6 +164,7 @@ def compare(a: Path, b: Path) -> int:
     print("largest over all files of one name:")
     for (fname, name), (worst_abs, worst_rel) in sorted(summary.items()):
         print(f"  {fname} {name}: abs {worst_abs:.3g} rel {worst_rel:.3g}")
+    print(f"byte-identical: {identical} of {len(files_a | files_b)} files")
     return 1 if mismatched else 0
 
 

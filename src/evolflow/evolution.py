@@ -6,19 +6,20 @@ contraction ball the path is the Banach fixed point of the integral operator
 
     T(gamma, x, zeta)(t) = x + integral_0^t gamma(s)(zeta(s)) ds,
 
-solved for every node of the displacement grid at once.  On a refined time
-grid the discrete T is the implicit midpoint rule, a system lower triangular
-in time, so it is marched: T is iterated on one block of cells at a time.
-Each block starts from the end of the one before, extrapolated with the
-polynomial through the previous block's midpoint velocities that read the
-same velocity cell, as in the predictor of a predictor-corrector method;
-only the start changes, not the fixed point.  The velocities of each block's
-last iteration, read at the knots zeta of that iteration, sum to T(zeta)
-and certify it: its distance to the fixed point is at most
-L/(1-L) * max |T(zeta) - zeta|.  The midpoint rule is second order; its
-error is declared from the second differences of the solved velocities, and
-every solve splits its time only as finely as a time-error budget needs: 16
-cells, doubled and solved again while over budget, never finer than 1/256
+solved at once for every node of the displacement grid that the velocity can
+move; at the others it is a signed zero in every time cell, so they stay where
+they are.  On a refined time grid the discrete T is the implicit midpoint
+rule, a system lower triangular in time, so it is marched: T is iterated on
+one block of cells at a time.  Each block starts from the end of the one
+before, extrapolated with the polynomial through the previous block's midpoint
+velocities that read the same velocity cell, as in the predictor of a
+predictor-corrector method; only the start changes, not the fixed point.  The
+velocities of each block's last iteration, read at the knots zeta of that
+iteration, sum to T(zeta) and certify it: its distance to the fixed point is
+at most L/(1-L) * max |T(zeta) - zeta|.  The midpoint rule is second order;
+its error is declared from the second differences of the solved velocities,
+and every solve splits its time only as finely as a time-error budget needs:
+16 cells, doubled and solved again while over budget, never finer than 1/256
 of the original time.  Velocities with a large contraction budget are split
 into n rescaled segments, each solved locally and glued by right translation.
 """
@@ -254,6 +255,18 @@ def _check_budget(L: float, bound: float, remedy: str) -> None:
 
 # -- the Picard march ------------------------------------------------------
 
+def _still(fields, nodes) -> np.ndarray:
+    """The nodes (S,) that no field of ``fields``, all of one geometry, can
+    move: their `eval` patch, at the floors `_locate` takes, holds only
+    zero coefficients in every field, so each field is a signed zero there."""
+    proto = fields[0]
+    nonzero = np.zeros(proto.shape, dtype=bool)
+    for f in fields:
+        nonzero |= f.coeffs.any(axis=-1)
+    table = np.pad(nonzero, [(1, 3)] * proto.dimension, mode=proto._MODE).reshape(-1, 1)
+    return ~proto._patch(proto._locate(nodes)[0], table).any(axis=(1, 2))
+
+
 def _predict(mids, w, cellmap, lo, hi, g):
     """Start of the block of cells [lo, hi) relative to its first knot.
 
@@ -281,7 +294,9 @@ def _picard_march(gamma, grid, cellmap, nodes, tol, lead=None, record=None):
 
     The solve is in displacements: zeta holds the displacement of each of
     the grid ``nodes`` (S, d), starting at 0, and velocities are read at
-    ``nodes`` plus zeta.
+    ``nodes`` plus zeta.  Each node is solved on its own, so ``nodes`` may
+    be any of the grid nodes: `local_evolve` passes those a velocity can
+    move.
 
     Each block of `MARCH_BLOCK` cells iterates `_T` on its own knots until
     the change falls below ``tol``, integrating from T(zeta) at its first
@@ -292,8 +307,8 @@ def _picard_march(gamma, grid, cellmap, nodes, tol, lead=None, record=None):
     over the whole grid, g, the cell evaluations in whole-grid sweeps
     (rounded up) and the certificate change max |T(zeta) - zeta|.
 
-    ``record`` (ncells, S, d), if given, receives how far each block moved:
-    the knots it last read minus its start.  ``lead``, if given, holds
+    ``record`` (ncells, S, d), if given, receives how far each block moved
+    at ``nodes``: the knots it last read minus its start.  ``lead``, if given, holds
     (weight, moves) pairs of such records of nearby solves on the same grid;
     each block's start is moved by the weighted sum of their moves, so with
     one record of weight 1 a block starts where that solve's block ended.
@@ -477,21 +492,61 @@ def local_evolve(
     finest_dt: float = FINEST_DT,
     lead: dict | None = None,
     record: dict | None = None,
+    still: np.ndarray | None = None,
 ) -> EvolutionResult:
     """Evolution inside the contraction ball: one Picard solve for every
     node of the displacement grid simultaneously, on the coarsest split
     within the time-error budget no finer than ``finest_dt``; ``lead`` and
-    ``record`` as in `_budgeted_march`."""
+    ``record`` as in `_budgeted_march`, their moves indexed by all nodes.
+
+    Only the nodes a velocity can move are marched.  ``still`` (S,) marks
+    the nodes whose `eval` patch is zero in every velocity cell (`_still`
+    of gamma's cells if None); a node that a ``lead`` record moves is
+    marched too.  At the other still nodes the velocity is a signed zero,
+    so the displacement stays 0 and every block reads the velocity at the
+    node itself: their velocities are one ``eval`` per velocity cell at the
+    nodes, the bits a march would give, and they add exactly 0 to every
+    change, certificate and time error, and nothing to a record.  With no
+    node still, or none live, every node is marched.
+    """
     _check_L_max(L_max)
     L = contraction_bound(gamma)
     _check_budget(L, L_max, "use evolve(), with a larger forced_n or none")
     proto = gamma.proto
     nodes = proto.nodes()
-    grid, zeta, g, diag = _budgeted_march(gamma, nodes, L, tol, finest_dt, lead, record)
+    if still is None:
+        still = _still(gamma.fields, nodes)
+    if still.any():
+        for _, marches in lead or ():
+            for m in marches.values():
+                if m is not None:
+                    still = still & ~m.any(axis=(0, 2))
+    live = None if still.all() or not still.any() else ~still
+    kept = record
+    if live is not None:
+        nodes = nodes[live]
+        lead = lead and [(w, {dt: m if m is None else m[:, live] for dt, m in marches.items()}) for w, marches in lead]
+        kept = None if record is None else {}
+    grid, zeta, g, diag = _budgeted_march(gamma, nodes, L, tol, finest_dt, lead, kept)
     # node values of all cells side by side on the component axis; the knot
     # values and velocities are released before the filter allocates
-    values = np.moveaxis(g, 0, 1).reshape(proto.shape + (-1,))
+    if live is None:
+        values = np.moveaxis(g, 0, 1)
+    else:
+        values = np.empty(live.shape + g.shape[::2])
+        values[live] = np.moveaxis(g, 0, 1)
+        at = np.flatnonzero(still)
+        cellmap = gamma.grid.cell_of(grid.knots[:-1])
+        for c in np.unique(cellmap):
+            values[at[:, None], np.flatnonzero(cellmap == c)] = gamma.fields[c].eval(proto.nodes()[at])[:, None]
+        # a record holds every node, and a still one moved by exactly 0
+        for dt, m in (kept or {}).items():
+            record[dt] = m
+            if m is not None:
+                record[dt] = np.zeros((len(m),) + live.shape + m.shape[2:])
+                record[dt][:, live] = m
     del zeta, g
+    values = values.reshape(proto.shape + (-1,))
     path = GroupPath(grid, proto.with_values(values))
     diag.resample_estimate = resampling_estimate(values, proto.h)
     return EvolutionResult(path, 1, [diag], gamma)
@@ -537,14 +592,18 @@ def evolve(
     window is scaled by n, and the windows are joined along the component
     axis.
 
+    The nodes still in every cell of gamma (`_still`) are found once and
+    skipped by every window's march (`local_evolve`).
+
     For `continuity_probe`, a dict passed as ``record`` receives the marches
-    of each window (`_budgeted_march`) keyed by (n, mapped knots, source
-    cells).  ``leads`` holds (weight, record) pairs of such records, the
-    base solve's first; a window whose key is in the base's record is solved
-    from the entries of every record (`_budgeted_march`), an empty one where
-    a record lacks the key.
+    of each window (`_budgeted_march`, indexed by all nodes) keyed by (n,
+    mapped knots, source cells).  ``leads`` holds (weight, record) pairs of
+    such records, the base solve's first; a window whose key is in the
+    base's record is solved from the entries of every record
+    (`_budgeted_march`), an empty one where a record lacks the key.
     """
     n = forced_n if forced_n is not None else choose_subdivision(gamma, L_max)
+    still = _still(gamma.fields, gamma.proto.nodes())
     A = gamma.proto.zero_like()
     knots = [0.0]
     parts = []
@@ -556,7 +615,7 @@ def evolve(
         if key not in solved:
             marches = None if record is None else record.setdefault(key, {})
             lead = None if leads is None or key not in leads[0][1] else [(w, rec.get(key, {})) for w, rec in leads]
-            solved[key] = local_evolve(gamma.subdivide(n, k), L_max, tol, FINEST_DT * n, lead, marches)
+            solved[key] = local_evolve(gamma.subdivide(n, k), L_max, tol, FINEST_DT * n, lead, marches, still)
         seg = solved[key]
         segments.append(seg.segments[0])
         seg_knots = (seg.path.grid.knots + k) / n
@@ -580,15 +639,31 @@ def flow_point(result: EvolutionResult, t: float, x) -> np.ndarray:
 
 def residual(gamma: TimeVelocity, path: GroupPath) -> float:
     """Sup over knots and grid nodes of the integral-equation defect
-    |eta - T(gamma, 0, eta)|, in displacements."""
+    |eta - T(gamma, 0, eta)|, in displacements.
+
+    A node still for the velocity and for the path (`_still` of gamma's
+    cells, and of the path's start and density) is skipped: there the path
+    is a signed zero at every knot, so T reads the velocity at the node
+    itself, a signed zero too, and the defect is exactly 0.
+    """
     grid = gamma.grid.refine(path.grid)
     coeffs = path.coeffs_at(grid.knots)
     K, d = coeffs.shape[-2:]
     vals = path.stacked.with_coeffs(coeffs.reshape(coeffs.shape[:-2] + (K * d,))).on_lattice(1)
+    nodes = path.stacked.nodes()
+    live = ~(_still(gamma.fields, nodes) & _still([path.start, path.stacked], nodes))
+    if not live.any():
+        return 0.0
     # (knots, nodes, d), contiguous: the velocity evaluations read it by knot
-    knot_vals = np.ascontiguousarray(np.moveaxis(vals.reshape(-1, K, d), 1, 0))
+    vals = np.moveaxis(vals.reshape(-1, K, d), 1, 0)
+    if live.all():
+        knot_vals = np.ascontiguousarray(vals)
+    else:
+        knot_vals, nodes = np.take(vals, np.flatnonzero(live), axis=1), nodes[live]
+    # the lattice of every node is released before the velocity evaluations allocate
+    del vals
     cells = gamma.grid.cell_of(grid.midpoints())
-    return float(np.max(np.abs(knot_vals - _T(gamma, cells, grid.widths(), 0.0, path.stacked.nodes(), knot_vals)[0])))
+    return float(np.max(np.abs(knot_vals - _T(gamma, cells, grid.widths(), 0.0, nodes, knot_vals)[0])))
 
 
 def continuity_probe(

@@ -1,8 +1,11 @@
 """Shared builders for the test suite."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from evolflow import evolution
 from evolflow.lp_space import GridError, LpSample, TimeGrid
 from evolflow.vector_field import _along_axes, _lattice_weights
 
@@ -118,3 +121,22 @@ def rk4_by_eval(gamma, xs: np.ndarray, steps: int) -> np.ndarray:
         k4 = f.eval(y + dt * k3)
         y = traj[j + 1] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return traj
+
+
+# -- the march of every node ---------------------------------------------------
+
+def marching_all_nodes():
+    """A context in which `evolution` finds no node still, so `evolve` and
+    `local_evolve` march every grid node and `residual` takes the defect at
+    every node: the solver with no node skipped, what the skips must
+    reproduce bit for bit."""
+    return mock.patch.object(evolution, "_still", lambda fields, nodes: np.zeros(len(nodes), dtype=bool))
+
+
+def result_bytes(res) -> bytes:
+    """The bytes of an `EvolutionResult`'s path and diagnostics, so that a
+    comparison also sees the sign of a zero, which ``array_equal`` does not."""
+    diags = [[getattr(s, k) for k in ("iterations", "last_change", "contraction", "residual_bound",
+                                      "resample_estimate", "time_error", "resolves")] for s in res.segments]
+    arrays = [res.path.grid.knots, res.path.start.coeffs, res.path.stacked.coeffs, np.array(diags, dtype=float)]
+    return np.int64(res.n).tobytes() + b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)

@@ -41,13 +41,17 @@ def test_compare_reports_column_differences_and_one_sided_files(tmp_path, capsys
     assert "w_1_0/residuals.csv kind: 1 of 2 values differ" in lines
     assert "w_1_0/residuals.csv residual: abs 0.5 rel 0.2" in lines
     assert "  residuals.csv residual: abs 0.5 rel 0.2" in lines
+    # of the five files on either side, only w_1_1/residuals.csv keeps its bytes
+    assert lines[-1] == "byte-identical: 1 of 5 files"
 
 
 def test_compare_of_equal_trees_passes(tmp_path, capsys):
-    files = {"w_1_0/oracle.csv": "case,seed,error\n0,1,nan\n"}
+    files = {"w_1_0/oracle.csv": "case,seed,error\n0,1,nan\n", "w_1_0/result.json": "{}"}
     a, b = _tree(tmp_path / "a", files), _tree(tmp_path / "b", files)
     assert cli_outputs.main(["--compare", str(a), str(b)]) == 0
-    assert "w_1_0/oracle.csv error: abs 0 rel 0" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "w_1_0/oracle.csv error: abs 0 rel 0" in out
+    assert out.splitlines()[-1] == "byte-identical: 2 of 2 files"
 
 
 def test_compare_flags_a_changed_row_count(tmp_path, capsys):

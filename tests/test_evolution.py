@@ -25,6 +25,7 @@ from evolflow.evolution import (
     window_budgets,
 )
 from evolflow.instances import (
+    random_plateau_field,
     random_smooth_torus_velocity,
     random_smooth_velocity,
     random_trace,
@@ -33,8 +34,8 @@ from evolflow.instances import (
     zero_velocity,
 )
 from evolflow.lp_space import TimeGrid, lp_norm
-from evolflow.vector_field import _SplineField
-from conftest import displaced, rk4_by_eval, stack_fields, unstack
+from evolflow.vector_field import CompactField, _SplineField
+from conftest import displaced, marching_all_nodes, result_bytes, rk4_by_eval, stack_fields, unstack
 
 
 @pytest.fixture(scope="module")
@@ -748,6 +749,106 @@ def test_continuity_level_0_is_the_solve_led_by_the_base_alone():
     base = evolve(gamma, record=record)
     led = evolve(gamma + delta, leads=[(1.0, record)])
     assert out[0] == (1.0, group_path_distance(led.path, base.path, p=gamma.p))
+
+
+# -- still nodes ---------------------------------------------------------------
+
+def _one_face_velocity():
+    """Coefficients nonzero in a band that reaches the zero margin of the
+    low face of axis 0 and lies far from the other faces."""
+    coeffs = np.random.default_rng(3).normal(size=(16, 16, 2))
+    coeffs[8:] = 0.0
+    coeffs[:, :5] = coeffs[:, 11:] = 0.0
+    gamma = TimeVelocity(TimeGrid.uniform(0.0, 1.0, 1), [CompactField([0.0, 0.0], 1.0 / 15, coeffs)], 2.0)
+    return gamma.scaled(0.4 / contraction_bound(gamma))
+
+
+STILL_CASES = {
+    "compact_margin_2": lambda: random_smooth_velocity(3, grid=16, cells=2, target_bound=0.4, margin=2),
+    "compact_margin_3": lambda: random_smooth_velocity(7, grid=24, cells=3, target_bound=0.4),
+    "rotation_plateau": lambda: rotation_plateau_velocity(omega=0.3, grid=32),
+    "one_face": _one_face_velocity,
+    "torus": lambda: random_smooth_torus_velocity(11, grid=12, cells=4, target_bound=0.3),
+    "zero": lambda: zero_velocity(grid=12, cells=2),
+    # n = 4 windows glued
+    "glued": lambda: random_smooth_velocity(5, grid=16, cells=2, target_bound=1.2),
+}
+
+
+@pytest.mark.parametrize("case", list(STILL_CASES))
+def test_skipping_still_nodes_keeps_every_bit(case):
+    """`evolve` and `local_evolve` march only the nodes a velocity can move,
+    and return the bits of marching every node, signed zeros included."""
+    gamma = STILL_CASES[case]()
+    share = evolution._still(gamma.fields, gamma.proto.nodes()).mean()
+    assert share == 0.0 if case == "torus" else share == 1.0 if case == "zero" else 0.0 < share < 1.0
+    n = choose_subdivision(gamma)
+    assert n > 1 or case != "glued"
+    window = gamma.subdivide(n, 0)
+    solves = [lambda: evolve(gamma), lambda: local_evolve(window, finest_dt=evolution.FINEST_DT * n)]
+    with marching_all_nodes():
+        refs = [solve() for solve in solves]
+    for solve, ref in zip(solves, refs):
+        assert result_bytes(solve()) == result_bytes(ref)
+
+
+def test_a_node_wrongly_marked_still_changes_the_bits():
+    """The comparison sees a wrong skip: marking still the slowest node that
+    a velocity cell moves, next to the still ones, changes the result.  (A
+    node whose patch holds a nonzero coefficient only where its B-spline
+    weight is 0 is not moved, so marking it still changes nothing.)"""
+    gamma = STILL_CASES["compact_margin_3"]()
+    nodes = gamma.proto.nodes()
+    still = evolution._still(gamma.fields, nodes)
+    with marching_all_nodes():
+        ref = result_bytes(local_evolve(gamma))
+    assert result_bytes(local_evolve(gamma, still=still)) == ref
+    speed = sum(np.abs(f.eval(nodes)).sum(axis=1) for f in gamma.fields)
+    moved = np.flatnonzero(speed > 0.0)
+    assert not still[moved].any()
+    wrong = still.copy()
+    wrong[moved[np.argmin(speed[moved])]] = True
+    assert result_bytes(local_evolve(gamma, still=wrong)) != ref
+
+
+@pytest.mark.parametrize("kind", ["plateau", "negated"])
+def test_compact_continuity_probe_with_another_support_keeps_every_bit(monkeypatch, kind):
+    """A perturbation whose support differs from the base's: a plateau field,
+    nonzero out to the zero margin, or minus the base, which makes level 0
+    the zero velocity, every node still in it.  The levels march other
+    nodes than the base, led by its records, and land on the bits of
+    marching every node."""
+    gamma = random_smooth_velocity(1, grid=16, cells=2, target_bound=0.45)
+    if kind == "plateau":
+        field = random_plateau_field(4, grid=16, center=(0.3, 0.6), r_plateau=0.1, r_support=0.3, target_alpha=0.02)
+        delta = TimeVelocity(gamma.grid, [field, field.scaled(-0.5)], gamma.p)
+    else:
+        delta = gamma.scaled(-1.0)
+    marched = []
+    march = evolution._picard_march
+    monkeypatch.setattr(evolution, "_picard_march", lambda *a: marched.append(len(a[3])) or march(*a))
+    out = continuity_probe(gamma, delta, levels=4)
+    monkeypatch.undo()
+    with marching_all_nodes():
+        ref = continuity_probe(gamma, delta, levels=4)
+    assert np.array(out).tobytes() == np.array(ref).tobytes()
+    assert len(set(marched)) > 1 and max(marched) <= len(gamma.proto.nodes())
+
+
+@pytest.mark.parametrize("case", ["compact_margin_3", "one_face", "glued", "torus", "zero"])
+def test_residual_skipping_still_nodes_keeps_every_bit(case):
+    """`residual` skips the nodes still for the velocity and the path, on
+    the path of the velocity and on that of another one; it is 0.0 on the
+    zero velocity."""
+    gamma = STILL_CASES[case]()
+    path = evolve(gamma).path
+    other = STILL_CASES["glued" if case == "one_face" else "one_face"]() if case in ("one_face", "glued") else gamma
+    for velocity in (gamma, other):
+        with marching_all_nodes():
+            ref = residual(velocity, path)
+        assert np.float64(residual(velocity, path)).tobytes() == np.float64(ref).tobytes()
+    if case == "zero":
+        assert residual(gamma, path) == 0.0
 
 
 # -- subdivision bookkeeping -------------------------------------------------
