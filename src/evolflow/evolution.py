@@ -263,6 +263,9 @@ def _still(fields, nodes) -> np.ndarray:
     nonzero = np.zeros(proto.shape, dtype=bool)
     for f in fields:
         nonzero |= f.coeffs.any(axis=-1)
+    if nonzero.all():
+        # every patch reads a grid coefficient, so with none zero no node is still
+        return np.zeros(len(nodes), dtype=bool)
     table = np.pad(nonzero, [(1, 3)] * proto.dimension, mode=proto._MODE).reshape(-1, 1)
     return ~proto._patch(proto._locate(nodes)[0], table).any(axis=(1, 2))
 
@@ -289,7 +292,7 @@ def _predict(mids, w, cellmap, lo, hi, g):
     return np.cumsum(w[lo:hi, None, None] * np.tensordot(weights, g[-k:], axes=1), axis=0)
 
 
-def _picard_march(gamma, grid, cellmap, nodes, tol, lead=None, record=None):
+def _picard_march(gamma, grid, cellmap, nodes, tol, lead=None, record=None, live=slice(None)):
     """The discrete fixed point of `_T`, marched in time, and its certificate.
 
     The solve is in displacements: zeta holds the displacement of each of
@@ -307,12 +310,13 @@ def _picard_march(gamma, grid, cellmap, nodes, tol, lead=None, record=None):
     over the whole grid, g, the cell evaluations in whole-grid sweeps
     (rounded up) and the certificate change max |T(zeta) - zeta|.
 
-    ``record`` (ncells, S, d), if given, receives how far each block moved
-    at ``nodes``: the knots it last read minus its start.  ``lead``, if given, holds
+    ``record`` (ncells, N, d), if given, receives how far each block moved:
+    the knots it last read minus its start.  ``lead``, if given, holds
     (weight, moves) pairs of such records of nearby solves on the same grid;
     each block's start is moved by the weighted sum of their moves, so with
     one record of weight 1 a block starts where that solve's block ended.
-    The stop rule and the certificate do not change.
+    The stop rule and the certificate do not change.  Records may hold more
+    nodes than ``nodes``: ``live`` picks the columns of ``nodes`` in them.
     """
     w = grid.widths()
     mids = grid.midpoints()
@@ -328,7 +332,7 @@ def _picard_march(gamma, grid, cellmap, nodes, tol, lead=None, record=None):
         guess = start if lo == 0 else start + _predict(mids, w, cellmap, lo, hi, g[lo - MARCH_BLOCK:lo])
         block[1:] = guess
         for weight, moves in lead or ():
-            block[1:] += weight * moves[lo:hi]
+            block[1:] += weight * moves[lo:hi, live]
         change = np.inf
         stalled = 0
         for it in range(1, PICARD_MAX_ITER + 1):
@@ -348,7 +352,7 @@ def _picard_march(gamma, grid, cellmap, nodes, tol, lead=None, record=None):
                 f"(t in [{grid.knots[lo]:.6g}, {grid.knots[hi]:.6g}]; last change {change:.3g}, tol={tol})"
             )
         if record is not None:
-            record[lo:hi] = block[1:] - guess
+            record[lo:hi, live] = block[1:] - guess
         start = new[-1]
     new = step_cumulative(w, g)
     certificate = float(np.max(np.abs(new - zeta)))
@@ -377,12 +381,13 @@ def _time_error(g, w, cellmap, L):
     return TIME_ERROR_SAFETY / (1.0 - L) * total
 
 
-def _budgeted_march(gamma, nodes, L, tol, finest_dt, lead=None, record=None):
-    """`_picard_march` on cells of width ``max(COARSEST_DT, finest_dt)``,
-    halved and marched again, down to ``finest_dt``, while the declared time
-    error (`_time_error`) exceeds `TIME_ERROR_BUDGET`; at ``finest_dt`` it
-    is reported whatever its value.  Returns the grid, knot values,
-    velocities and diagnostics of the last march.
+def _budgeted_march(gamma, nodes, L, tol, finest_dt, lead=None, record=None, live=slice(None)):
+    """`_picard_march` of ``nodes[live]`` on cells of width
+    ``max(COARSEST_DT, finest_dt)``, halved and marched again, down to
+    ``finest_dt``, while the declared time error (`_time_error`) exceeds
+    `TIME_ERROR_BUDGET`; at ``finest_dt`` it is reported whatever its value.
+    Returns the grid, the velocity cell of each of its cells, and the knot
+    values, velocities and diagnostics of the last march.
 
     ``record``, if given, maps the cell width of each march to how far each
     of its blocks moved from its start (`_picard_march`), or to None for a
@@ -392,21 +397,23 @@ def _budgeted_march(gamma, nodes, L, tol, finest_dt, lead=None, record=None):
     window, the base's first: the base's leading None splits are skipped.
     A march on a width for which every record holds moves moves each
     block's start by the weighted sum of those moves; where only the base's
-    holds moves, by the base's moves alone.
+    holds moves, by the base's moves alone.  Records hold every one of
+    ``nodes``; a node not marched moves by 0.
     """
     lead = lead or [(1.0, {})]
     base = lead[0][1]
     dt = max(COARSEST_DT, finest_dt)
     while dt > finest_dt and dt in base and base[dt] is None:
         dt = max(0.5 * dt, finest_dt)
+    marched = nodes[live]
     resolves = 0
     while True:
         grid, cellmap = gamma.refined(dt)
-        moves = None if record is None else np.empty((grid.ncells,) + nodes.shape)
+        moves = None if record is None else np.zeros((grid.ncells,) + nodes.shape)
         terms = [(weight, window.get(dt)) for weight, window in lead]
         if any(m is None for _, m in terms):
             terms = None if base.get(dt) is None else [(1.0, base[dt])]
-        zeta, g, iters, change = _picard_march(gamma, grid, cellmap, nodes, tol, terms, moves)
+        zeta, g, iters, change = _picard_march(gamma, grid, cellmap, marched, tol, terms, moves, live)
         time_error = _time_error(g, grid.widths(), cellmap, L)
         if record is not None:
             # a led solve skips such a split, so its moves are not kept
@@ -419,7 +426,7 @@ def _budgeted_march(gamma, nodes, L, tol, finest_dt, lead=None, record=None):
         dt = max(0.5 * dt, finest_dt)
         resolves += 1
     diag = PicardDiagnostics(iters, change, L, L / (1.0 - L) * change, time_error=time_error, resolves=resolves)
-    return grid, zeta, g, diag
+    return grid, cellmap, zeta, g, diag
 
 
 # -- reference integrator --------------------------------------------------
@@ -492,60 +499,45 @@ def local_evolve(
     finest_dt: float = FINEST_DT,
     lead: dict | None = None,
     record: dict | None = None,
-    still: np.ndarray | None = None,
 ) -> EvolutionResult:
     """Evolution inside the contraction ball: one Picard solve for every
     node of the displacement grid simultaneously, on the coarsest split
     within the time-error budget no finer than ``finest_dt``; ``lead`` and
     ``record`` as in `_budgeted_march`, their moves indexed by all nodes.
 
-    Only the nodes a velocity can move are marched.  ``still`` (S,) marks
-    the nodes whose `eval` patch is zero in every velocity cell (`_still`
-    of gamma's cells if None); a node that a ``lead`` record moves is
-    marched too.  At the other still nodes the velocity is a signed zero,
-    so the displacement stays 0 and every block reads the velocity at the
-    node itself: their velocities are one ``eval`` per velocity cell at the
-    nodes, the bits a march would give, and they add exactly 0 to every
-    change, certificate and time error, and nothing to a record.  With no
-    node still, or none live, every node is marched.
+    Only the nodes a velocity can move are marched.  A node is still when
+    its `eval` patch is zero in every velocity cell (`_still`) and no
+    ``lead`` record moves it.  There the velocity is a signed zero, so the
+    displacement stays 0 and every block reads the velocity at the node
+    itself: the still nodes' velocities are one ``eval`` per velocity cell
+    at the nodes, the bits a march would give, and they add exactly 0 to
+    every change, certificate and time error.  With no node still, or none
+    live, every node is marched.
     """
     _check_L_max(L_max)
     L = contraction_bound(gamma)
     _check_budget(L, L_max, "use evolve(), with a larger forced_n or none")
     proto = gamma.proto
     nodes = proto.nodes()
-    if still is None:
-        still = _still(gamma.fields, nodes)
+    still = _still(gamma.fields, nodes)
     if still.any():
         for _, marches in lead or ():
             for m in marches.values():
                 if m is not None:
-                    still = still & ~m.any(axis=(0, 2))
-    live = None if still.all() or not still.any() else ~still
-    kept = record
-    if live is not None:
-        nodes = nodes[live]
-        lead = lead and [(w, {dt: m if m is None else m[:, live] for dt, m in marches.items()}) for w, marches in lead]
-        kept = None if record is None else {}
-    grid, zeta, g, diag = _budgeted_march(gamma, nodes, L, tol, finest_dt, lead, kept)
+                    still &= ~m.any(axis=(0, 2))
+    if still.all():
+        still[:] = False
+    live = ~still if still.any() else slice(None)
+    grid, cellmap, zeta, g, diag = _budgeted_march(gamma, nodes, L, tol, finest_dt, lead, record, live)
     # node values of all cells side by side on the component axis; the knot
     # values and velocities are released before the filter allocates
-    if live is None:
-        values = np.moveaxis(g, 0, 1)
-    else:
-        values = np.empty(live.shape + g.shape[::2])
-        values[live] = np.moveaxis(g, 0, 1)
-        at = np.flatnonzero(still)
-        cellmap = gamma.grid.cell_of(grid.knots[:-1])
-        for c in np.unique(cellmap):
-            values[at[:, None], np.flatnonzero(cellmap == c)] = gamma.fields[c].eval(proto.nodes()[at])[:, None]
-        # a record holds every node, and a still one moved by exactly 0
-        for dt, m in (kept or {}).items():
-            record[dt] = m
-            if m is not None:
-                record[dt] = np.zeros((len(m),) + live.shape + m.shape[2:])
-                record[dt][:, live] = m
+    values = np.empty(still.shape + g.shape[::2])
+    values[live] = np.moveaxis(g, 0, 1)
     del zeta, g
+    if still.any():
+        at = np.flatnonzero(still)
+        for c in np.unique(cellmap):
+            values[at[:, None], np.flatnonzero(cellmap == c)] = gamma.fields[c].eval(nodes[at])[:, None]
     values = values.reshape(proto.shape + (-1,))
     path = GroupPath(grid, proto.with_values(values))
     diag.resample_estimate = resampling_estimate(values, proto.h)
@@ -592,9 +584,6 @@ def evolve(
     window is scaled by n, and the windows are joined along the component
     axis.
 
-    The nodes still in every cell of gamma (`_still`) are found once and
-    skipped by every window's march (`local_evolve`).
-
     For `continuity_probe`, a dict passed as ``record`` receives the marches
     of each window (`_budgeted_march`, indexed by all nodes) keyed by (n,
     mapped knots, source cells).  ``leads`` holds (weight, record) pairs of
@@ -603,7 +592,6 @@ def evolve(
     (`_budgeted_march`), an empty one where a record lacks the key.
     """
     n = forced_n if forced_n is not None else choose_subdivision(gamma, L_max)
-    still = _still(gamma.fields, gamma.proto.nodes())
     A = gamma.proto.zero_like()
     knots = [0.0]
     parts = []
@@ -615,7 +603,7 @@ def evolve(
         if key not in solved:
             marches = None if record is None else record.setdefault(key, {})
             lead = None if leads is None or key not in leads[0][1] else [(w, rec.get(key, {})) for w, rec in leads]
-            solved[key] = local_evolve(gamma.subdivide(n, k), L_max, tol, FINEST_DT * n, lead, marches, still)
+            solved[key] = local_evolve(gamma.subdivide(n, k), L_max, tol, FINEST_DT * n, lead, marches)
         seg = solved[key]
         segments.append(seg.segments[0])
         seg_knots = (seg.path.grid.knots + k) / n
