@@ -34,7 +34,7 @@ import numpy as np
 from .ac_path import ContinuousTrace
 from .diff_group import GroupPath, d_rho, group_path_distance, star
 from .lp_space import GridError, TimeGrid, lp_norm, step_cumulative, step_primitive
-from .vector_field import _SplineField, load_manifest, resampling_estimate, save_manifest
+from .vector_field import _SplineField, _weights, load_manifest, resampling_estimate, save_manifest
 from ._parallel import ordered_thread_map
 
 __all__ = [
@@ -257,17 +257,25 @@ def _check_budget(L: float, bound: float, remedy: str) -> None:
 
 def _still(fields, nodes) -> np.ndarray:
     """The nodes (S,) that no field of ``fields``, all of one geometry, can
-    move: their `eval` patch, at the floors `_locate` takes, holds only
-    zero coefficients in every field, so each field is a signed zero there."""
+    move: each slot of their `eval` patch, at the floors `_locate` takes,
+    holds a zero coefficient in every field or has B-spline weight exactly 0
+    (the last slot of an axis on which the grid coordinate is an integer),
+    so each field is a signed zero there."""
     proto = fields[0]
     nonzero = np.zeros(proto.shape, dtype=bool)
     for f in fields:
         nonzero |= f.coeffs.any(axis=-1)
     if nonzero.all():
-        # every patch reads a grid coefficient, so with none zero no node is still
+        # every patch reads a grid coefficient with a weight above 0, so with none zero no node is still
         return np.zeros(len(nodes), dtype=bool)
     table = np.pad(nonzero, [(1, 3)] * proto.dimension, mode=proto._MODE).reshape(-1, 1)
-    return ~proto._patch(proto._locate(nodes)[0], table).any(axis=(1, 2))
+    ufl, frac = proto._locate(nodes)
+    # the slots of nonzero weight, laid out as the patch: the leading axis varies slowest
+    weighted = _weights(frac) != 0.0
+    slots = weighted[:, 0]
+    for ax in range(1, proto.dimension):
+        slots = (slots[:, :, None] & weighted[:, ax, None, :]).reshape(len(slots), -1)
+    return ~(proto._patch(ufl, table)[..., 0] & slots).any(axis=1)
 
 
 def _predict(mids, w, cellmap, lo, hi, g):
@@ -582,7 +590,10 @@ def evolve(
     window k >= 1 is right-translated by the product A of the windows before
     it with one ``d_rho`` of its whole stacked density; the density of every
     window is scaled by n, and the windows are joined along the component
-    axis.
+    axis.  The product is formed only between windows: window 0's end gives
+    ``star(end, 0)``, and the end of each later window but the last rides
+    with its density through that ``d_rho``, so the product is A plus its
+    part, the bits of ``star(end, A)``.
 
     For `continuity_probe`, a dict passed as ``record`` receives the marches
     of each window (`_budgeted_march`, indexed by all nodes) keyed by (n,
@@ -608,9 +619,19 @@ def evolve(
         segments.append(seg.segments[0])
         seg_knots = (seg.path.grid.knots + k) / n
         knots.extend(seg_knots[1:].tolist())
-        parts.append((seg.path.stacked if k == 0 else d_rho(A, seg.path.stacked)).coeffs)
-        if k + 1 < n:
-            A = star(seg.path.end(), A)
+        density = seg.path.stacked
+        if k == 0:
+            parts.append(density.coeffs)
+            if n > 1:
+                A = star(seg.path.end(), A)
+        elif k + 1 < n:
+            # star(end, A) = A + d_rho(A, end): the end rides with the density
+            # through one right translation, each column with the bits it gets alone
+            both = d_rho(A, density.with_coeffs(np.concatenate([density.coeffs, seg.path.end().coeffs], axis=-1)))
+            parts.append(both.coeffs[..., :density.ncomp])
+            A = A.with_coeffs(A.coeffs + both.coeffs[..., density.ncomp:])
+        else:
+            parts.append(d_rho(A, density).coeffs)
     # scaled in place after the join: one copy of the whole density fewer
     coeffs = np.concatenate(parts, axis=-1)
     coeffs *= float(n)
@@ -629,29 +650,29 @@ def residual(gamma: TimeVelocity, path: GroupPath) -> float:
     """Sup over knots and grid nodes of the integral-equation defect
     |eta - T(gamma, 0, eta)|, in displacements.
 
+    The knot values of eta are taken at the nodes: the node values of the
+    path's start plus the exact integral (`step_primitive`) of the node
+    values of its density, one ``on_lattice(1)`` of each field.
+
     A node still for the velocity and for the path (`_still` of gamma's
     cells, and of the path's start and density) is skipped: there the path
     is a signed zero at every knot, so T reads the velocity at the node
     itself, a signed zero too, and the defect is exactly 0.
     """
     grid = gamma.grid.refine(path.grid)
-    coeffs = path.coeffs_at(grid.knots)
-    K, d = coeffs.shape[-2:]
-    vals = path.stacked.with_coeffs(coeffs.reshape(coeffs.shape[:-2] + (K * d,))).on_lattice(1)
     nodes = path.stacked.nodes()
     live = ~(_still(gamma.fields, nodes) & _still([path.start, path.stacked], nodes))
     if not live.any():
         return 0.0
-    # (knots, nodes, d), contiguous: the velocity evaluations read it by knot
-    vals = np.moveaxis(vals.reshape(-1, K, d), 1, 0)
-    if live.all():
-        knot_vals = np.ascontiguousarray(vals)
-    else:
-        knot_vals, nodes = np.take(vals, np.flatnonzero(live), axis=1), nodes[live]
-    # the lattice of every node is released before the velocity evaluations allocate
-    del vals
+    density = path.stacked.on_lattice(1)[live]
+    # (cells, nodes, d): integrated along the leading axis, so the knot values
+    # come out (knots, nodes, d), contiguous, as the velocity evaluations read them
+    density = np.moveaxis(density.reshape(len(density), path.grid.ncells, -1), 1, 0)
+    knot_vals = step_primitive(path.grid, density, grid.knots, path.start.on_lattice(1)[live])
+    # the density's node values are released before the velocity evaluations allocate
+    del density
     cells = gamma.grid.cell_of(grid.midpoints())
-    return float(np.max(np.abs(knot_vals - _T(gamma, cells, grid.widths(), 0.0, nodes, knot_vals)[0])))
+    return float(np.max(np.abs(knot_vals - _T(gamma, cells, grid.widths(), 0.0, nodes[live], knot_vals)[0])))
 
 
 def continuity_probe(

@@ -352,9 +352,12 @@ class _SplineField:
         stops before 1, which repeats 0; compact points past the last node
         read only zero-margin layers, so they are exact zeros.
         ``on_lattice(1)`` is the node values."""
-        table = self._table()[0][:, :self.ncomp]
+        # padded as in `_table`, but not kept on the field: a lattice is
+        # one read, and the fields read so (a path's start and density) are
+        # not evaluated after it
+        cpad = np.pad(self.coeffs, [(1, 3)] * self.dimension + [(0, 0)], mode=self._MODE)
         mats = [_lattice_weights(n, div, False) for n in self.shape]
-        return _along_axes(table.reshape(tuple(n + 4 for n in self.shape) + (-1,)), mats).reshape(-1, self.ncomp)
+        return _along_axes(cpad, mats).reshape(-1, self.ncomp)
 
     def lattice_sups(self, div: int, group: int, *, values: bool = True, jacobians: bool = True):
         """sup |F| and sup ||DF||_op over the points of ``on_lattice(div)``,

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from evolflow.ac_path import ContinuousTrace
 from evolflow import evolution
-from evolflow.diff_group import d_rho, group_path_distance, star
+from evolflow.diff_group import GroupPath, d_rho, group_path_distance, star
 from evolflow.evolution import (
+    EvolutionResult,
     TimeVelocity,
     apply_T,
     choose_subdivision,
@@ -539,15 +540,47 @@ def _evolve_per_cell(gamma, n):
     return coeffs
 
 
-@pytest.mark.parametrize("case", ["compact_repeated_windows", "torus", "compact_repeated_windows_1d", "torus_1d"])
-def test_evolve_density_matches_per_cell_gluing(case):
+def _evolve_by_products(gamma, n):
+    """evolve(gamma, forced_n=n) the plain way: a fresh solve of every
+    window, each density moved by its own ``d_rho`` and the product of the
+    windows formed by ``star``."""
+    A = gamma.proto.zero_like()
+    knots, parts, segments = [0.0], [], []
+    for k in range(n):
+        seg = local_evolve(gamma.subdivide(n, k), finest_dt=evolution.FINEST_DT * n)
+        segments.append(seg.segments[0])
+        knots.extend(((seg.path.grid.knots + k) / n)[1:].tolist())
+        parts.append((seg.path.stacked if k == 0 else d_rho(A, seg.path.stacked)).coeffs)
+        A = star(seg.path.end(), A)
+    path = GroupPath(TimeGrid(np.array(knots)), gamma.proto.with_coeffs(np.concatenate(parts, axis=-1) * float(n)))
+    return EvolutionResult(path, n, segments, gamma)
+
+
+GLUED_CASES = ["compact_repeated_windows", "torus", "compact_repeated_windows_1d", "torus_1d"]
+
+
+def _glued_case(case):
+    """A velocity and the window count n it is glued from."""
     # in 1-d each cell alone is a one-component field
     dim = 1 if case.endswith("_1d") else 2
     if case.startswith("torus"):
-        gamma, n = random_smooth_torus_velocity(11, dim=dim, grid=12, cells=4, target_bound=0.6), 4
-    else:
-        # n = 8 windows over 2 cells: windows repeat four times each
-        gamma, n = random_smooth_velocity(5, dim=dim, grid=16, cells=2, target_bound=0.6), 8
+        return random_smooth_torus_velocity(11, dim=dim, grid=12, cells=4, target_bound=0.6), 4
+    # n = 8 windows over 2 cells: windows repeat four times each
+    return random_smooth_velocity(5, dim=dim, grid=16, cells=2, target_bound=0.6), 8
+
+
+@pytest.mark.parametrize("case", GLUED_CASES)
+def test_evolve_has_the_bits_of_separate_products(case):
+    """An end that rides with its window's density through one ``d_rho``
+    gives the product ``star`` gives, and the density the bits of its own
+    ``d_rho``."""
+    gamma, n = _glued_case(case)
+    assert result_bytes(evolve(gamma, forced_n=n)) == result_bytes(_evolve_by_products(gamma, n))
+
+
+@pytest.mark.parametrize("case", GLUED_CASES)
+def test_evolve_density_matches_per_cell_gluing(case):
+    gamma, n = _glued_case(case)
     res = evolve(gamma, forced_n=n)
     ref = _evolve_per_cell(gamma, n)
     assert len(unstack(res.path)) == len(ref)
@@ -564,10 +597,22 @@ def test_evolve_with_one_window_is_local_evolve(gamma):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_evolve_forms_the_product_only_between_windows(monkeypatch, n):
-    products = []
-    monkeypatch.setattr(evolution, "star", lambda *a: products.append(1) or star(*a))
+    """A window's end enters the product by ``star`` (window 0) or riding
+    with its density through ``d_rho`` (a later window); each end once."""
+    ends, products = [], []
+    end = GroupPath.end
+    monkeypatch.setattr(GroupPath, "end", lambda self: ends.append(end(self)) or ends[-1])
+    monkeypatch.setattr(evolution, "star", lambda phi, psi: products.append(phi) or star(phi, psi))
+
+    def rho(psi, vf):
+        if ends and np.array_equal(vf.coeffs[..., -ends[-1].ncomp:], ends[-1].coeffs):
+            products.append(ends[-1])
+        return d_rho(psi, vf)
+
+    monkeypatch.setattr(evolution, "d_rho", rho)
     evolve(random_smooth_torus_velocity(11, grid=12, cells=4, target_bound=0.3), forced_n=n)
-    assert len(products) == n - 1
+    assert len(products) == len(ends) == n - 1
+    assert all(p is e for p, e in zip(products, ends))
 
 
 @pytest.mark.parametrize("L_max", [1.5, float("nan"), -1.0])
@@ -827,13 +872,22 @@ def test_compact_continuity_probe_with_another_support_keeps_every_bit(monkeypat
         delta = gamma.scaled(-1.0)
     marched = []
     march = evolution._picard_march
-    monkeypatch.setattr(evolution, "_picard_march", lambda *a: marched.append(len(a[3])) or march(*a))
+    # the velocity of each march and the nodes it marches
+    monkeypatch.setattr(evolution, "_picard_march", lambda *a: marched.append((a[0], a[3])) or march(*a))
     out = continuity_probe(gamma, delta, levels=4)
     monkeypatch.undo()
     with marching_all_nodes():
         ref = continuity_probe(gamma, delta, levels=4)
     assert np.array(out).tobytes() == np.array(ref).tobytes()
-    assert len(set(marched)) > 1 and max(marched) <= len(gamma.proto.nodes())
+    nodes = gamma.proto.nodes()
+    assert max(len(m) for _, m in marched) <= len(nodes)
+    if kind == "plateau":
+        assert len({len(m) for _, m in marched}) > 1
+    else:
+        # level 0, the zero velocity, marches the nodes the base moves, not every node
+        moved = nodes[sum(np.abs(f.eval(nodes)).sum(axis=1) for f in gamma.fields) > 0.0]
+        level_0 = [m for v, m in marched if not any(f.coeffs.any() for f in v.fields)]
+        assert level_0 and all(np.array_equal(m, moved) for m in level_0) and len(moved) < len(nodes)
 
 
 @pytest.mark.parametrize("case", ["compact_margin_3", "one_face", "glued", "torus", "zero"])
@@ -850,6 +904,35 @@ def test_residual_skipping_still_nodes_keeps_every_bit(case):
         assert np.float64(residual(velocity, path)).tobytes() == np.float64(ref).tobytes()
     if case == "zero":
         assert residual(gamma, path) == 0.0
+
+
+def _residual_from_knot_coeffs(gamma, path):
+    """`residual` at every node, from the path's coefficients at the knots
+    taken to the nodes by one lattice of all knots."""
+    grid = gamma.grid.refine(path.grid)
+    coeffs = path.coeffs_at(grid.knots)
+    K, d = coeffs.shape[-2:]
+    vals = path.stacked.with_coeffs(coeffs.reshape(coeffs.shape[:-2] + (K * d,))).on_lattice(1)
+    vals = np.ascontiguousarray(np.moveaxis(vals.reshape(-1, K, d), 1, 0))
+    cells = gamma.grid.cell_of(grid.midpoints())
+    return float(np.max(np.abs(vals - evolution._T(gamma, cells, grid.widths(), 0.0, path.stacked.nodes(), vals)[0])))
+
+
+@pytest.mark.parametrize("case", list(STILL_CASES) + ["glued_8"])
+def test_residual_from_node_values_matches_the_knot_coefficients(case):
+    """`residual` integrates the density's node values; the path's
+    coefficients at the knots give the same defect up to round-off, also
+    for a velocity with a knot inside a cell of the path."""
+    gamma = STILL_CASES["glued" if case == "glued_8" else case]()
+    path = evolve(gamma, forced_n=8 if case == "glued_8" else None).path
+    edged = TimeVelocity(TimeGrid(np.array([0.0, 0.3, 1.0])), [gamma.fields[0], gamma.fields[-1]], gamma.p)
+    assert 0.3 not in path.grid.knots
+    # a defect at round-off (the torus path solves its velocity to it) is
+    # compared on the scale of the displacements it is taken of
+    scale = float(np.abs(path.coeffs_at(path.grid.knots)).max())
+    for velocity in (gamma, edged):
+        ref = _residual_from_knot_coeffs(velocity, path)
+        assert abs(residual(velocity, path) - ref) <= 1e-12 * max(ref, scale)
 
 
 # -- subdivision bookkeeping -------------------------------------------------

@@ -191,6 +191,17 @@ def test_lattice_sampler_matches_scattered_kernel(periodic, d, div, seed):
         assert all(np.all(der[past] == 0.0) for der in ders)
 
 
+def test_on_lattice_keeps_no_table_and_reads_each_component_alone(rng):
+    """`on_lattice` pads the coefficients for its one read and keeps no
+    table on the field; a lone component gets the bits of its column among
+    others."""
+    for f in (CompactField([0.0, 0.0], 0.1, rng.normal(size=(9, 9, 3))), PeriodicField(rng.normal(size=(8, 8, 3)))):
+        lattice = f.on_lattice(2)
+        assert getattr(f, "_tab", None) is None
+        alone = f.with_coeffs(f.coeffs[..., 1:2]).on_lattice(2)
+        assert alone.tobytes() == np.ascontiguousarray(lattice[:, 1:2]).tobytes()
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("periodic", [False, True])
 def test_lattice_sups_match_the_lattice_by_lattice_oracle(periodic, d, rng):
