@@ -113,8 +113,19 @@ class GroupPath:
         return self.stacked.with_coeffs(self.coeffs_at([t])[..., 0, :])
 
     def end(self) -> _SplineField:
-        """Displacement field of the path at the end of its grid."""
-        return self.field_at(self.grid.b)
+        """Displacement field of the path at the end of its grid, the bits of
+        ``field_at(b)``: for cell steps s_j = w_j v_j of widths w and
+        densities v, ((s_0 + ... + s_{M-2}) + start) + s_{M-1}, the sum in
+        cell order (0 for one cell) and the last cell after the start.  It
+        is summed in one buffer, without the coefficients at every knot."""
+        cells = self._cells()
+        w = self.grid.widths()
+        total = np.zeros(self.start.coeffs.shape) if w.size == 1 else w[0] * cells[..., 0, :]
+        for j in range(1, w.size - 1):
+            total += w[j] * cells[..., j, :]
+        total += self.start.coeffs
+        total += w[-1] * cells[..., -1, :]
+        return self.stacked.with_coeffs(total)
 
 
 def save_group_path(path: GroupPath, directory, name: str = "path"):

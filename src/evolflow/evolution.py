@@ -34,7 +34,7 @@ import numpy as np
 from .ac_path import ContinuousTrace
 from .diff_group import GroupPath, d_rho, group_path_distance, star
 from .lp_space import GridError, TimeGrid, lp_norm, step_cumulative, step_primitive
-from .vector_field import _SplineField, _weights, load_manifest, resampling_estimate, save_manifest
+from .vector_field import _SplineField, _padded, _weights, load_manifest, resampling_estimate, save_manifest
 from ._parallel import ordered_thread_map
 
 __all__ = [
@@ -124,13 +124,16 @@ class TimeVelocity:
         ``cells`` never decreases, as a refined grid's cell map."""
         out = np.empty_like(pts)
         for lo in range(0, len(cells), MARCH_BLOCK):
-            block = cells[lo:lo + MARCH_BLOCK]
-            # each run of one cell is a slice of rows, read with no copy
-            edges = np.r_[0, np.flatnonzero(np.diff(block)) + 1, len(block)]
-            for a, b in zip(edges[:-1], edges[1:]):
-                rows = slice(lo + a, lo + b)
-                vals = self.fields[block[a]].eval(pts[rows].reshape(-1, self.dimension))
-                out[rows] = vals.reshape((-1,) + pts.shape[1:])
+            # a few ints, compared in plain Python faster than a numpy call
+            # costs; each run of one cell is a slice of rows, read with no copy
+            block = cells[lo:lo + MARCH_BLOCK].tolist()
+            a = 0
+            for b in range(1, len(block) + 1):
+                if b == len(block) or block[b] != block[a]:
+                    rows = slice(lo + a, lo + b)
+                    vals = self.fields[block[a]].eval(pts[rows].reshape(-1, self.dimension))
+                    out[rows] = vals.reshape((-1,) + pts.shape[1:])
+                    a = b
         return out
 
     def window(self, n: int, k: int) -> tuple[TimeGrid, list[int]]:
@@ -268,7 +271,7 @@ def _still(fields, nodes) -> np.ndarray:
     if nonzero.all():
         # every patch reads a grid coefficient with a weight above 0, so with none zero no node is still
         return np.zeros(len(nodes), dtype=bool)
-    table = np.pad(nonzero, [(1, 3)] * proto.dimension, mode=proto._MODE).reshape(-1, 1)
+    table = _padded(nonzero, proto.dimension, proto._MODE).reshape(-1, 1)
     ufl, frac = proto._locate(nodes)
     # the slots of nonzero weight, laid out as the patch: the leading axis varies slowest
     weighted = _weights(frac) != 0.0
@@ -295,9 +298,13 @@ def _predict(mids, w, cellmap, lo, hi, g):
     x, y = mids[lo - k:lo], mids[lo:hi]
     weights = np.empty((hi - lo, k))
     for j in range(k):
-        others = np.delete(x, j)
+        others = np.concatenate((x[:j], x[j + 1:]))
         weights[:, j] = np.prod((y[:, None] - others) / (x[j] - others), axis=1)
-    return np.cumsum(w[lo:hi, None, None] * np.tensordot(weights, g[-k:], axes=1), axis=0)
+    # summed row by row in order, the bits of np.cumsum along axis 0
+    out = w[lo:hi, None, None] * np.tensordot(weights, g[-k:], axes=1)
+    for j in range(1, hi - lo):
+        np.add(out[j - 1], out[j], out=out[j])
+    return out
 
 
 def _picard_march(gamma, grid, cellmap, nodes, tol, lead=None, record=None, live=slice(None)):

@@ -9,7 +9,9 @@ checks free of quadrature error.  Piecewise-linear curves are
 Step functions with values of any trailing shape are integrated one way,
 at the knots (`step_cumulative`: the Picard march) or at any times
 (`step_primitive`: group and AC paths, the window budgets), and measured one
-way (`lp_norm`: the contraction budget and the group path distance).
+way (`lp_norm`: the contraction budget and the group path distance).  The
+knot values are summed row by row in cell order: the bits of a cumulative
+sum, without its cost per element.
 """
 
 from __future__ import annotations
@@ -171,11 +173,16 @@ class LpSample:
 
 def step_cumulative(widths, values, start=0.0) -> np.ndarray:
     """start + the integral of the step function with cell widths (M,) and
-    values (M, ...) up to each knot: cumsum(widths * values), then + start."""
+    values (M, ...) up to each knot: the steps widths * values go into rows
+    1..M of the output, each row is added onto the next in order, then
+    + start.  These are the bits of ``np.cumsum`` along axis 0 (row 1 is the
+    first step, not 0 + step, so a -0.0 stays -0.0) without its cost per
+    element."""
     values = np.asarray(values, dtype=float)
-    steps = np.reshape(widths, (-1,) + (1,) * (values.ndim - 1)) * values
-    out = np.zeros((steps.shape[0] + 1,) + steps.shape[1:])
-    np.cumsum(steps, axis=0, out=out[1:])
+    out = np.zeros((values.shape[0] + 1,) + values.shape[1:])
+    np.multiply(np.reshape(widths, (-1,) + (1,) * (values.ndim - 1)), values, out=out[1:])
+    for j in range(1, values.shape[0]):
+        np.add(out[j:j + 1], out[j + 1:j + 2], out=out[j + 1:j + 2])
     out += start
     return out
 

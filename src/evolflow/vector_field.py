@@ -74,6 +74,40 @@ def _dweights(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _padded(x: np.ndarray, d: int, mode: str) -> np.ndarray:
+    """x with each of its leading d axes padded by 1 layer before and 3
+    after, the layers an `eval` patch or a lattice reads past the grid:
+    with ``mode`` "wrap" they repeat x periodically, with "constant" they
+    are zeros.  The values of ``np.pad`` in that mode, without its fixed
+    cost, which every new field's table would pay."""
+    spatial, rest = x.shape[:d], x.shape[d:]
+    shape = tuple(n + 4 for n in spatial) + rest
+    if mode == "wrap":
+        # one gather of whole rows of components, by the flat index of the
+        # node each padded node wraps onto: a ``take`` per axis would copy
+        # wide rows several times slower than np.pad
+        flat = np.zeros(1, dtype=np.intp)
+        for n in spatial:
+            flat = (flat[:, None] * n + np.arange(-1, n + 3) % n).ravel()
+        return np.take(x.reshape((-1,) + rest), flat, axis=0).reshape(shape)
+    out = np.zeros(shape, dtype=x.dtype)
+    out[tuple(slice(1, n + 1) for n in spatial)] = x
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _nodes(lo: bytes, h: float, shape: tuple[int, ...]) -> np.ndarray:
+    """Read-only (nodes, d) coordinates, in C order, of the grid with first
+    node ``lo`` (the bytes of its float64 array, so that -0.0 and 0.0 are
+    two keys), step h and node counts ``shape``: one ``linspace`` per axis."""
+    lo = np.frombuffer(lo)
+    axes = [np.linspace(lo[ax], lo[ax] + (n - 1) * h, n) for ax, n in enumerate(shape)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    out = np.stack([m.ravel() for m in mesh], axis=1)
+    out.flags.writeable = False
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _lattice_weights(n: int, div: int, der: bool) -> np.ndarray:
     """Read-only (div*n, n+4) cubic weights, or with ``der`` derivative weights per
@@ -247,7 +281,7 @@ class _SplineField:
             if self.ncomp == 1:
                 coeffs = np.concatenate([coeffs, np.zeros_like(coeffs)], axis=-1)
             # u = n still reads inside: the periodic wrap can round onto it
-            cpad = np.pad(coeffs, [(1, 3)] * d + [(0, 0)], mode=self._MODE)
+            cpad = _padded(coeffs, d, self._MODE)
             spatial = cpad.shape[:-1]
             strides = np.ones(d, dtype=np.int64)
             for ax in range(d - 2, -1, -1):
@@ -340,11 +374,9 @@ class _SplineField:
 
     # -- lattices and seminorms -------------------------------------------
     def nodes(self) -> np.ndarray:
-        if getattr(self, "_nodes", None) is None:
-            axes = [np.linspace(self.lo[ax], self.lo[ax] + (n - 1) * self.h, n) for ax, n in enumerate(self.shape)]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            self._nodes = np.stack([m.ravel() for m in mesh], axis=1)
-        return self._nodes
+        """The grid nodes (nodes, d) in C order: one read-only array per
+        geometry, built once and shared by every field on it (`_nodes`)."""
+        return _nodes(self.lo.tobytes(), self.h, self.shape)
 
     def on_lattice(self, div: int) -> np.ndarray:
         """Values at grid coordinates i/div, i < div*n, on each axis of n
@@ -355,7 +387,7 @@ class _SplineField:
         # padded as in `_table`, but not kept on the field: a lattice is
         # one read, and the fields read so (a path's start and density) are
         # not evaluated after it
-        cpad = np.pad(self.coeffs, [(1, 3)] * self.dimension + [(0, 0)], mode=self._MODE)
+        cpad = _padded(self.coeffs, self.dimension, self._MODE)
         mats = [_lattice_weights(n, div, False) for n in self.shape]
         return _along_axes(cpad, mats).reshape(-1, self.ncomp)
 

@@ -168,6 +168,32 @@ def test_path_constant_density_is_linear(phi):
     assert np.array_equal(path.end().coeffs, path.field_at(1.0).coeffs)
 
 
+@pytest.mark.parametrize("ncells", [1, 2, 33])
+@pytest.mark.parametrize("start", ["zero", "nonzero"])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_end_matches_field_at_the_last_knot(periodic, start, ncells, rng):
+    """`end()` gives the coefficients of ``field_at(b)`` and the sign of
+    each zero: a column of -0.0 densities stays -0.0 through the cell sum
+    and meets the start's zeros before the last cell's."""
+    shape = (8, 8) if periodic else (9, 9)
+    knots = np.r_[0.0, np.sort(rng.uniform(0.0, 1.0, size=ncells - 1)), 1.0]
+    density = rng.normal(size=shape + (ncells, 2))
+    density[rng.random(density.shape) < 0.2] = 0.0
+    density[2:5, 2:5, :, 0] = -0.0
+    make = PeriodicField if periodic else (lambda c: CompactField(np.zeros(2), 0.125, c))
+    first = None
+    if start == "nonzero":
+        first = rng.normal(size=shape + (2,))
+        first[2:5, 2:5, 0] = -0.0
+        first[3, 3] = 0.0
+        first = make(first)
+    path = GroupPath(TimeGrid(knots), make(density.reshape(shape + (-1,))), first)
+    end, at_b = path.end(), path.field_at(1.0)
+    assert type(end) is type(at_b) and end.coeffs.shape == at_b.coeffs.shape
+    assert np.array_equal(end.coeffs, at_b.coeffs)
+    assert np.array_equal(np.signbit(end.coeffs), np.signbit(at_b.coeffs))
+
+
 def test_path_piecewise_density(phi, psi):
     grid = TimeGrid(np.array([0.0, 0.5, 1.0]))
     path = GroupPath(grid, stack_fields([phi, psi]))

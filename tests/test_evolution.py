@@ -339,6 +339,22 @@ def test_predict_is_exact_for_the_polynomial_of_its_history(rng, same):
     got = evolution._predict(mids, w, cellmap, 4, 8, g)
     assert got.shape == expected.shape
     assert np.max(np.abs(got - expected)) < 1e-13
+    assert got.tobytes() == _predict_reference(mids, w, cellmap, 4, 8, g).tobytes()
+
+
+def _predict_reference(mids, w, cellmap, lo, hi, g):
+    """`evolution._predict` written with np.delete and np.cumsum: the bits
+    its slices and row adds must give."""
+    k = 0
+    while k < len(g) and cellmap[lo - 1 - k] == cellmap[lo]:
+        k += 1
+    k = max(k, 1)
+    x, y = mids[lo - k:lo], mids[lo:hi]
+    weights = np.empty((hi - lo, k))
+    for j in range(k):
+        others = np.delete(x, j)
+        weights[:, j] = np.prod((y[:, None] - others) / (x[j] - others), axis=1)
+    return np.cumsum(w[lo:hi, None, None] * np.tensordot(weights, g[-k:], axes=1), axis=0)
 
 
 def test_eval_cells_reads_each_row_from_its_cell(rng):

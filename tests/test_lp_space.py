@@ -167,6 +167,38 @@ def test_step_primitive_is_the_exact_integral(a, widths, shape, seed):
             step_primitive(grid, values, [grid.a, outside])
 
 
+def cumsum_reference(widths, values, start):
+    """`step_cumulative` as numpy's cumulative sum writes it: the reference
+    its row adds must match bit for bit."""
+    values = np.asarray(values, dtype=float)
+    steps = np.reshape(widths, (-1,) + (1,) * (values.ndim - 1)) * values
+    out = np.zeros((steps.shape[0] + 1,) + steps.shape[1:])
+    np.cumsum(steps, axis=0, out=out[1:])
+    out += start
+    return out
+
+
+@pytest.mark.parametrize("ncells", [1, 2, 7])
+@pytest.mark.parametrize("shape", [(), (3,), (2, 4, 2)])
+def test_step_cumulative_matches_the_cumsum_reference(rng, ncells, shape):
+    """Every bit of np.cumsum then + start, the sign of each zero included:
+    a column of -0.0 steps keeps -0.0 at every knot until a start adds to
+    it, and row 0 is 0 + start."""
+    widths = rng.uniform(0.05, 1.0, size=ncells)
+    values = rng.normal(size=(ncells,) + shape)
+    values[rng.random(values.shape) < 0.2] = 0.0
+    # the first column of every cell's value is -0.0, and so is the start's
+    values.reshape(ncells, -1)[:, 0] = -0.0
+    start = rng.normal(size=shape)
+    start[rng.random(shape) < 0.5] = -0.0
+    start.reshape(-1)[0] = -0.0
+    for s in (0.0, -0.0, 1.25, start):
+        got = step_cumulative(widths, values, s)
+        want = cumsum_reference(widths, values, s)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 # -- weak_integral -----------------------------------------------------------
 
 def test_weak_integral_zero():

@@ -19,6 +19,7 @@ from evolflow.vector_field import (
     PeriodicField,
     load_field,
     resampling_estimate,
+    _padded,
     save_field,
     vf_compose_displacement,
 )
@@ -200,6 +201,47 @@ def test_on_lattice_keeps_no_table_and_reads_each_component_alone(rng):
         assert getattr(f, "_tab", None) is None
         alone = f.with_coeffs(f.coeffs[..., 1:2]).on_lattice(2)
         assert alone.tobytes() == np.ascontiguousarray(lattice[:, 1:2]).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["constant", "wrap"])
+def test_padded_matches_np_pad(mode, d, rng):
+    """The bytes of ``np.pad`` by (1, 3) layers per leading axis, for float
+    (signed zeros included) and bool arrays, on axes of 1 to 5 nodes, so
+    also where the wrap is wider than the axis, and on axes of unequal
+    length."""
+    for n in range(1, 6):
+        for shape in ((n,) * d, tuple(range(n, n + d))):
+            floats = rng.normal(size=shape + (2,))
+            floats[rng.random(floats.shape) < 0.3] = -0.0
+            for x, trailing in ((floats, [(0, 0)]), (rng.random(shape) < 0.5, [])):
+                want = np.pad(x, [(1, 3)] * d + trailing, mode=mode)
+                got = _padded(x, d, mode)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+def test_nodes_are_one_read_only_array_per_geometry(rng):
+    """Fields of one geometry share one read-only node array, whatever
+    their coefficients; each geometry has its own, with the coordinates of
+    one ``linspace`` per axis."""
+    f = CompactField([0.0, -1.0], 0.1, rng.normal(size=(9, 11, 2)))
+    nodes = f.nodes()
+    assert f.with_coeffs(rng.normal(size=(9, 11, 3))).nodes() is nodes
+    assert CompactField([0.0, -1.0], 0.1, np.zeros((9, 11, 1)), margin=3).nodes() is nodes
+    with pytest.raises(ValueError, match="read-only"):
+        nodes[0, 0] = 1.0
+    others = [
+        CompactField([0.0, -0.5], 0.1, np.zeros((9, 11, 2))),
+        CompactField([0.0, -1.0], 0.125, np.zeros((9, 11, 2))),
+        CompactField([0.0, -1.0], 0.1, np.zeros((11, 9, 2))),
+        PeriodicField(np.zeros((10, 10, 2))),
+    ]
+    for g in [f] + others:
+        axes = [np.linspace(g.lo[ax], g.lo[ax] + (n - 1) * g.h, n) for ax, n in enumerate(g.shape)]
+        want = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        assert g.nodes().tobytes() == want.tobytes() and not g.nodes().flags.writeable
+    assert len({id(g.nodes()) for g in [f] + others}) == 1 + len(others)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
