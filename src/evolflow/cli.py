@@ -7,8 +7,9 @@ Commands: evolve, continuity-study, subdivision-study, property-check,
 torus-evolve.  Each command accepts the top-level config keys of its own
 table below; any other key is a configuration error.  Exit codes: 0 all
 checks pass, 1 usage or configuration error, 2 solver failure, 3 declared
-check failed.  CSV output uses a header row, '.' decimals, LF endings, and is
-byte-identical for any --threads value.
+check failed.  --threads N solves the cases of evolve and torus-evolve on N
+threads; the other commands run in order.  CSV output uses a header row, '.'
+decimals, LF endings, and is byte-identical for any --threads value.
 """
 
 from __future__ import annotations
@@ -190,19 +191,12 @@ def _oracle_starts(case: int, gamma: TimeVelocity, oracle_cfg: dict) -> np.ndarr
 
 def _oracle_errors(gammas: list, results: list, oracle_cfg: dict) -> list[np.ndarray]:
     """Per case, the distance at t = 1 between its solve and RK4 from each
-    of its oracle points.  The cases whose velocities share their field
-    class, geometry, components and time grid step through RK4 as one batch."""
+    of its oracle points.  The cases come from one velocity spec, so they
+    share field class, geometry, components and time grid, and step through
+    RK4 as one batch."""
     starts = [_oracle_starts(case, gamma, oracle_cfg) for case, gamma in enumerate(gammas)]
-    groups: dict[tuple, list[int]] = {}
-    for case, gamma in enumerate(gammas):
-        key = (gamma.proto._geometry(), gamma.proto.ncomp, tuple(gamma.grid.knots.tolist()))
-        groups.setdefault(key, []).append(case)
-    ends = [None] * len(gammas)
-    for cases in groups.values():
-        batch = [gammas[case] for case in cases]
-        ref = rk4_points(batch, np.concatenate([starts[case] for case in cases]), oracle_cfg.get("steps", 4096))[-1]
-        for case, end in zip(cases, np.split(ref, len(cases))):
-            ends[case] = end
+    ref = rk4_points(gammas, np.concatenate(starts), oracle_cfg.get("steps", 4096))[-1]
+    ends = np.split(ref, len(gammas))
     errs = []
     for gamma, result, xs, ref in zip(gammas, results, starts, ends):
         diff = flow_point(result, 1.0, xs) - ref
@@ -295,14 +289,14 @@ def cmd_evolve(cfg: dict, out: Path, threads: int, seed: int | None, render: boo
     return EXIT_CHECK if failed else EXIT_OK
 
 
-def cmd_continuity(cfg: dict, out: Path, threads: int, seed: int | None) -> int:
+def cmd_continuity(cfg: dict, out: Path, seed: int | None) -> int:
     kw = _solver_kwargs(cfg)
     gammas = _velocities(cfg, seed)
     deltas = _velocities(cfg, None, "perturbation")
     if len(gammas) != 1 or len(deltas) != 1:
         raise ConfigError("continuity-study takes a single velocity and a single perturbation")
     levels = cfg.get("levels", 6)
-    pairs = evolution.continuity_probe(gammas[0], deltas[0], levels, threads=threads, **kw)
+    pairs = evolution.continuity_probe(gammas[0], deltas[0], levels, **kw)
     rows = [[k, scale, dist] for k, (scale, dist) in enumerate(pairs)]
     _write_csv(out / "continuity.csv", ["level", "scale", "distance"], rows)
     dists = [d for _, d in pairs]
@@ -314,7 +308,7 @@ def cmd_continuity(cfg: dict, out: Path, threads: int, seed: int | None) -> int:
     return EXIT_OK if ok else EXIT_CHECK
 
 
-def cmd_subdivision(cfg: dict, out: Path, threads: int, seed: int | None) -> int:
+def cmd_subdivision(cfg: dict, out: Path, seed: int | None) -> int:
     gammas = _velocities(cfg, seed)
     if len(gammas) != 1:
         raise ConfigError("subdivision-study takes a single velocity")
@@ -328,7 +322,7 @@ def cmd_subdivision(cfg: dict, out: Path, threads: int, seed: int | None) -> int
     return EXIT_OK
 
 
-def cmd_property_check(cfg: dict, out: Path, threads: int, seed: int | None) -> int:
+def cmd_property_check(cfg: dict, out: Path, seed: int | None) -> int:
     from .diff_group import inverse, star
 
     seed = seed if seed is not None else cfg.get("seed", 0)
@@ -378,11 +372,11 @@ def main(argv=None) -> int:
         elif args.command == "torus-evolve":
             code = cmd_evolve(cfg, out, args.threads, args.seed, args.render, torus=True)
         elif args.command == "continuity-study":
-            code = cmd_continuity(cfg, out, args.threads, args.seed)
+            code = cmd_continuity(cfg, out, args.seed)
         elif args.command == "subdivision-study":
-            code = cmd_subdivision(cfg, out, args.threads, args.seed)
+            code = cmd_subdivision(cfg, out, args.seed)
         else:
-            code = cmd_property_check(cfg, out, args.threads, args.seed)
+            code = cmd_property_check(cfg, out, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -26,6 +26,7 @@ into n rescaled segments, each solved locally and glued by right translation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,7 +36,6 @@ from .ac_path import ContinuousTrace
 from .diff_group import GroupPath, d_rho, group_path_distance, star
 from .lp_space import GridError, TimeGrid, lp_norm, step_cumulative, step_primitive
 from .vector_field import _SplineField, _padded, _weights, load_manifest, resampling_estimate, save_manifest
-from ._parallel import ordered_thread_map
 
 __all__ = [
     "TimeVelocity",
@@ -686,37 +686,34 @@ def continuity_probe(
     gamma: TimeVelocity,
     delta: TimeVelocity,
     levels: int,
-    threads: int = 1,
     **evolve_kwargs,
 ) -> list[tuple[float, float]]:
     """Distances of evolve(gamma + 2^-k delta) to evolve(gamma), k < levels.
 
     Each perturbed window that matches a base window in n, mapped knots and
     source cells is solved from records of how far the blocks of nearby
-    solves moved (`_budgeted_march`), as functions of the scale s = 2^-k:
-    level 0 (s = 1) from the base's (s = 0), level 1 from their mean, and
-    each later level from the quadratic through the base and levels 0 and 1
-    at s.  Levels 0 and 1 run first, in order; the records are only read
-    while the other levels run, so their order and thread count cannot
-    change the outputs.
+    solves moved (`_budgeted_march`), as functions of the scale s = 2^-k.
+    The base (s = 0) and levels 0 and 1 record their moves, and each level
+    is led by the records made before it, weighted by the Lagrange
+    polynomials of their scales at s: level 0 by the base's, level 1 by
+    their mean, and each later level by the quadratic through all three.
     """
     if levels < 2:
         raise ValueError("need at least two levels")
     record: dict = {}
     base = evolve(gamma, record=record, **evolve_kwargs)
-
-    def one(k: int, leads: list, anchor: dict | None = None) -> tuple[float, float]:
-        scale = 2.0 ** (-k)
-        pert = evolve(gamma + delta.scaled(scale), leads=leads, record=anchor, **evolve_kwargs)
-        return scale, group_path_distance(pert.path, base.path, p=gamma.p)
-
-    r0, r1 = {}, {}
-    first = [one(0, [(1.0, record)], r0), one(1, [(0.5, record), (0.5, r0)], r1)]
-
-    def quadratic(k: int) -> tuple[float, float]:
-        # the Lagrange weights of the nodes s = 0, 1 and 1/2 at s
+    scales, records = [0.0], [record]
+    pairs = []
+    for k in range(levels):
         s = 2.0 ** (-k)
-        weights = (2.0 * (s - 1.0) * (s - 0.5), 2.0 * s * (s - 0.5), -4.0 * s * (s - 1.0))
-        return one(k, list(zip(weights, (record, r0, r1))))
-
-    return first + ordered_thread_map(quadratic, range(2, levels), threads)
+        weights = [
+            math.prod(((s - b) / (a - b) for j, b in enumerate(scales) if j != i), start=1.0)
+            for i, a in enumerate(scales)
+        ]
+        anchor = {} if len(records) < 3 else None
+        pert = evolve(gamma + delta.scaled(s), leads=list(zip(weights, records)), record=anchor, **evolve_kwargs)
+        if anchor is not None:
+            scales.append(s)
+            records.append(anchor)
+        pairs.append((s, group_path_distance(pert.path, base.path, p=gamma.p)))
+    return pairs

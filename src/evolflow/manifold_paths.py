@@ -171,18 +171,10 @@ def chart_psi_inv(eta: ManifoldAcPath, gamma: ManifoldAcPath) -> SectionTuple:
 
 
 def transition(xi: ManifoldAcPath, eta: ManifoldAcPath, sigma: SectionTuple) -> SectionTuple:
-    """Rebase a section from the chart around eta to the chart around xi.
-
-    On the flat torus this is sigma + (eta - xi) with the start wrapped."""
-    _require_torus(eta)
-    segs = []
-    for (chart, xseg), (_, eseg), (_, sseg) in zip(xi.segments, eta.segments, sigma.segments):
-        start = wrap_diff(eseg.start + sseg.start - xseg.start)
-        density = (eseg.density + sseg.density) - xseg.density
-        segs.append((chart, AcPath(start, density)))
-    out = SectionTuple(xi, tuple(segs))
-    _check_inside(out.segments, TORUS_RHO)
-    return out
+    """Rebase a section from the chart around eta to the chart around xi:
+    the chart composition psi_xi^-1 o psi_eta.  On the flat torus this is
+    sigma + (eta - xi) with the start wrapped."""
+    return chart_psi_inv(xi, chart_psi(eta, sigma))
 
 
 def _ac_restrict(path: AcPath, c: float, d: float) -> AcPath:

@@ -812,6 +812,36 @@ def test_continuity_level_0_is_the_solve_led_by_the_base_alone():
     assert out[0] == (1.0, group_path_distance(led.path, base.path, p=gamma.p))
 
 
+def test_continuity_levels_are_led_by_the_lagrange_weights_bit_for_bit(monkeypatch):
+    """The base records unled; level 0 is led by the base's record times
+    1.0 and level 1 by the mean of the base's and level 0's, and both
+    record; each level k >= 2 is led by the three records with weights
+    equal to the closed forms of the quadratic through s = 0, 1 and 1/2 at
+    s = 2^-k, and records nothing."""
+    gamma = random_smooth_torus_velocity(6, grid=10, cells=2, target_bound=0.9)
+    delta = random_smooth_torus_velocity(99, grid=10, cells=2, target_bound=0.01)
+    calls = []
+    solve = evolution.evolve
+    monkeypatch.setattr(evolution, "evolve", lambda g, leads=None, record=None, **kw: calls.append(
+        (leads, record)) or solve(g, leads=leads, record=record, **kw))
+    continuity_probe(gamma, delta, levels=6)
+    assert len(calls) == 7
+    (base_leads, base), (leads_0, r0), (leads_1, r1) = calls[:3]
+    assert base_leads is None and isinstance(base, dict) and base
+    assert isinstance(r0, dict) and isinstance(r1, dict)
+
+    def same(leads, expected):
+        return [w for w, _ in leads] == [w for w, _ in expected] and all(
+            rec is want for (_, rec), (_, want) in zip(leads, expected))
+
+    assert same(leads_0, [(1.0, base)])
+    assert same(leads_1, [(0.5, base), (0.5, r0)])
+    for k, (leads, record) in enumerate(calls[3:], start=2):
+        s = 2.0 ** (-k)
+        closed = (2.0 * (s - 1.0) * (s - 0.5), 2.0 * s * (s - 0.5), -4.0 * s * (s - 1.0))
+        assert record is None and same(leads, list(zip(closed, (base, r0, r1))))
+
+
 # -- still nodes ---------------------------------------------------------------
 
 def _one_face_velocity():
